@@ -25,6 +25,10 @@ struct DiscoveryRow {
   double density_after = 0.0;
 };
 
+/// One row per AS with candidate pairs or revelations, sorted by
+/// `hdns_itdk` descending; rows that tie keep ascending AS-number order.
+/// Linear in the HDNs, candidates and revelations (up to log factors)
+/// plus the degrees of each row's candidate nodes.
 std::vector<DiscoveryRow> MakeDiscoveryTable(
     const campaign::CampaignResult& result,
     const topo::ItdkDataset& corrected, const topo::Topology& topology,
@@ -49,6 +53,8 @@ struct DeploymentRow {
   std::optional<int> ftl_median;  ///< revealed forward tunnel LSR count
 };
 
+/// One row per AS with at least one revealed tunnel, sorted by `pct_cisco`
+/// descending; rows that tie keep ascending AS-number order.
 std::vector<DeploymentRow> MakeDeploymentTable(
     const campaign::CampaignResult& result, const topo::Topology& topology);
 
