@@ -7,13 +7,16 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <streambuf>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
+#include "analysis/campaign_report.h"
 #include "campaign/campaign.h"
 #include "campaign/trace_cache.h"
 #include "gen/gns3.h"
@@ -527,6 +530,53 @@ BENCHMARK(BM_CampaignScaling)
     ->ArgNames({"size", "targets", "shard"})
     ->ArgsProduct({{0, 1}, {2048, 0}, {0, 64}})
     ->Unit(benchmark::kMillisecond);
+
+/// A stream buffer that counts and drops every byte: the report's
+/// formatting still runs, but no memory or I/O is timed.
+class CountingNullBuffer : public std::streambuf {
+ public:
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++bytes_;
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+void BM_CampaignReport(benchmark::State& state) {
+  // The report phase alone: graph correction, clustering, the Table 4/5
+  // rows and the distributions, on the ~8.5k-router world after one
+  // streaming campaign (BM_CampaignScaling's size:1/targets:0/shard:64
+  // configuration), which runs once, outside the timed loop.
+  gen::SyntheticInternet& world = ScalingWorldOfSize(1);
+  campaign::CampaignOptions options;
+  options.jobs = 1;
+  options.shard_targets = true;
+  options.stream_shard_size = 64;
+  campaign::Campaign campaign(world.engine(), world.vantage_points(),
+                              options);
+  const campaign::CampaignResult result = campaign.Run(world.AllLoopbacks());
+  CountingNullBuffer sink;
+  std::ostream os(&sink);
+  for (auto _ : state) {
+    analysis::WriteCampaignReport(os, result, world.topology());
+    benchmark::DoNotOptimize(sink.bytes());
+  }
+  state.counters["routers"] =
+      static_cast<double>(world.topology().router_count());
+  state.counters["report_bytes"] =
+      static_cast<double>(sink.bytes()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CampaignReport)->Unit(benchmark::kMillisecond);
 
 /// The flap target for BM_DeltaReprobe: an internal link of an
 /// MPLS-enabled transit AS — churn inside a carrier, the paper's setting

@@ -74,9 +74,11 @@ class ItdkDataset {
   [[nodiscard]] std::vector<NodeId> HighDegreeNodes(
       std::size_t threshold) const;
 
-  /// Graph density 2E / (V (V-1)) over the nodes of one AS restricted to
-  /// intra-AS links; Table 4's "Graph Density" columns restrict further to
-  /// candidate LER nodes, which callers do by passing the node set.
+  /// Graph density 2E / (V (V-1)) of the subgraph induced by `nodes`: V is
+  /// the number of distinct nodes, E the number of links with both ends
+  /// among them, whatever their AS. 0 when V < 2. Table 4's "Graph
+  /// Density" columns pass one AS's candidate LER nodes. Walks each node's
+  /// neighbours: O(sum of degrees * log V), independent of the graph size.
   [[nodiscard]] double Density(const std::vector<NodeId>& nodes) const;
 
   // --- serialization (simple line format, see itdk.cpp) -------------------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
 #include <sstream>
+#include <vector>
 
+#include "netbase/rng.h"
 #include "topo/itdk.h"
 #include "topo/topology.h"
 
@@ -155,6 +159,79 @@ TEST(ItdkDataset, DensityOfSubset) {
   d.RemoveLink(a, c);
   EXPECT_DOUBLE_EQ(d.Density({a, b, c}), 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(d.Density({a}), 0.0);
+}
+
+// Brute-force density: every link of the whole graph checked against the
+// node set — the definition Density must reproduce.
+double DensityByLinkScan(const ItdkDataset& d,
+                         const std::vector<NodeId>& nodes) {
+  const std::set<NodeId> in_set(nodes.begin(), nodes.end());
+  if (in_set.size() < 2) return 0.0;
+  std::size_t edges = 0;
+  for (const auto& [a, b] : d.links()) {
+    if (in_set.contains(a) && in_set.contains(b)) ++edges;
+  }
+  const double v = static_cast<double>(in_set.size());
+  return 2.0 * static_cast<double>(edges) / (v * (v - 1.0));
+}
+
+TEST(ItdkDataset, DensityMatchesLinkScanOnRandomGraphs) {
+  netbase::Rng rng(20170912);
+  for (int round = 0; round < 40; ++round) {
+    ItdkDataset d;
+    // Rounds 0 and 1 are the empty and the one-node graph.
+    const int n = round < 2 ? round : rng.UniformInt(2, 60);
+    for (int i = 0; i < n; ++i) {
+      d.NodeOf(Ipv4Address(static_cast<std::uint32_t>(0x0A000001 + i)));
+    }
+    // Sparse to dense; the last fifth of the nodes stays isolated.
+    const double p = 0.02 + 0.5 * static_cast<double>(round % 5) / 4.0;
+    const int connected = n - n / 5;
+    for (int a = 0; a < connected; ++a) {
+      for (int b = a + 1; b < connected; ++b) {
+        if (rng.Chance(p)) d.AddLink(a, b);
+      }
+    }
+    const auto random_subset = [&] {
+      std::vector<NodeId> nodes;
+      const int size = n == 0 ? 0 : rng.UniformInt(0, 2 * n);
+      for (int i = 0; i < size; ++i) {
+        nodes.push_back(static_cast<NodeId>(rng.UniformInt(0, n - 1)));
+      }
+      return nodes;
+    };
+    const auto check = [&](const std::vector<NodeId>& nodes) {
+      EXPECT_EQ(d.Density(nodes), DensityByLinkScan(d, nodes))
+          << "round " << round << ", " << nodes.size() << " nodes";
+    };
+    std::vector<NodeId> all(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
+    check(all);
+    check({});
+    if (n > 0) check({static_cast<NodeId>(rng.UniformInt(0, n - 1))});
+    for (int s = 0; s < 8; ++s) check(random_subset());
+    // Deflate: drop about a third of the links, then probe again.
+    const std::vector<std::pair<NodeId, NodeId>> links(d.links().begin(),
+                                                       d.links().end());
+    for (const auto& [a, b] : links) {
+      if (rng.Chance(1.0 / 3.0)) d.RemoveLink(b, a);
+    }
+    check(all);
+    for (int s = 0; s < 8; ++s) check(random_subset());
+  }
+}
+
+TEST(ItdkDataset, DensityCountsDistinctNodes) {
+  ItdkDataset d;
+  const NodeId a = d.NodeOf(Ipv4Address(5, 0, 0, 1));
+  const NodeId b = d.NodeOf(Ipv4Address(5, 0, 0, 2));
+  const NodeId isolated = d.NodeOf(Ipv4Address(5, 0, 0, 3));
+  d.AddLink(a, b);
+  EXPECT_DOUBLE_EQ(d.Density({a, b, a, b}), 1.0);
+  EXPECT_DOUBLE_EQ(d.Density({a, a}), 0.0);
+  EXPECT_DOUBLE_EQ(d.Density({}), 0.0);
+  EXPECT_DOUBLE_EQ(d.Density({a, b, isolated}), 2.0 / 6.0);
+  EXPECT_DOUBLE_EQ(d.Density({isolated, isolated, a}), 0.0);
 }
 
 TEST(ItdkDataset, SerializationRoundTrip) {
