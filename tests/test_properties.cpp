@@ -4,6 +4,10 @@
 //  * traceroute/SPF consistency on random topologies.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "gen/gns3.h"
 #include "gen/internet.h"
 #include "probe/prober.h"
@@ -176,12 +180,19 @@ INSTANTIATE_TEST_SUITE_P(TunnelLengths, RtlaSweepTest,
 struct RevealCase {
   int lsr_count;
   mpls::LdpPolicy ldp;
+  // gtest names each case after the raw bytes of its parameter. These
+  // zero bytes fill what would otherwise be padding, whose indeterminate
+  // contents made the case names change from one build to the next.
+  std::array<std::uint8_t, 3> reserved{};
 };
+static_assert(std::has_unique_object_representations_v<RevealCase>,
+              "RevealCase must have no padding bytes");
 
 class RevealSweepTest : public ::testing::TestWithParam<RevealCase> {};
 
 TEST_P(RevealSweepTest, RevealsExactlyTheHiddenChain) {
-  const auto [lsr_count, ldp] = GetParam();
+  const int lsr_count = GetParam().lsr_count;
+  const mpls::LdpPolicy ldp = GetParam().ldp;
   topo::Topology topology;
   topology.AddAs(1, "src");
   topology.AddAs(2, "mpls");
