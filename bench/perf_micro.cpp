@@ -17,6 +17,7 @@
 #endif
 
 #include "analysis/campaign_report.h"
+#include "analysis/correct.h"
 #include "campaign/campaign.h"
 #include "campaign/trace_cache.h"
 #include "gen/gns3.h"
@@ -577,6 +578,39 @@ void BM_CampaignReport(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_CampaignReport)->Unit(benchmark::kMillisecond);
+
+void BM_BuildDataset(benchmark::State& state) {
+  // The inferred-graph layer alone on the ~8.5k-router world: build the
+  // dataset from the discovery traces (the campaign's sequential
+  // AddTraceToDataset pass), correct a copy with the revelations (what
+  // the report does), and free both. The discovery traces and the
+  // revelations come from one campaign outside the timed loop.
+  gen::SyntheticInternet& world = ScalingWorldOfSize(1);
+  const topo::Topology& topology = world.topology();
+  campaign::CampaignOptions options;
+  options.jobs = 1;
+  options.shard_targets = true;
+  options.stream_shard_size = 64;
+  campaign::Campaign campaign(world.engine(), world.vantage_points(),
+                              options);
+  const auto targets = world.AllLoopbacks();
+  const std::vector<probe::TraceResult> traces =
+      campaign.RunDiscovery(targets);
+  const campaign::CampaignResult result = campaign.Run(targets);
+  const campaign::AliasResolver resolver = campaign::TruthResolver(topology);
+  std::size_t links = 0;
+  for (auto _ : state) {
+    const topo::ItdkDataset inferred =
+        campaign::BuildDataset(traces, resolver, topology);
+    const topo::ItdkDataset corrected = analysis::CorrectedCopy(
+        inferred, result.revelations, resolver, topology);
+    links = corrected.link_count();
+    benchmark::DoNotOptimize(links);
+  }
+  state.counters["traces"] = static_cast<double>(traces.size());
+  state.counters["corrected_links"] = static_cast<double>(links);
+}
+BENCHMARK(BM_BuildDataset)->Unit(benchmark::kMillisecond);
 
 /// The flap target for BM_DeltaReprobe: an internal link of an
 /// MPLS-enabled transit AS — churn inside a carrier, the paper's setting
