@@ -14,6 +14,7 @@
 #include "campaign/targets.h"
 #include "campaign/trace_cache.h"
 #include "gen/internet.h"
+#include "io/tracefile.h"
 #include "routing/as_path.h"
 #include "sim/network.h"
 
@@ -178,6 +179,61 @@ TEST(DeltaCampaign, LossyWorldParityAtEveryJobsAndShardCombination) {
           << "jobs=" << jobs << " shard=" << shard;
     }
   }
+}
+
+/// DeltaBytes plus the buffered whole-trace sink, as the tracefile
+/// writer sees it (labels and RTTs included).
+std::string ResultBytes(const campaign::CampaignResult& result,
+                        const gen::SyntheticInternet& world) {
+  std::ostringstream out;
+  out << DeltaBytes(result, world);
+  io::WriteTraces(out, result.traces);
+  return out.str();
+}
+
+std::string TraceBytes(const std::vector<probe::TraceResult>& traces) {
+  std::ostringstream out;
+  io::WriteTraces(out, traces);
+  return out.str();
+}
+
+// probes_sent sums the probers' cumulative counters, and on this lossy
+// world every reply depends on its probe id: a call that inherited an
+// earlier call's probers would count the earlier probes again and see
+// different replies. Every entry therefore starts from fresh probers.
+TEST(CampaignReuse, EveryCallMatchesAFreshCampaign) {
+  gen::SyntheticInternet world(GoldenWorldOptions());
+  const auto targets = world.AllLoopbacks();
+  const campaign::CampaignOptions options{.jobs = 1};
+  campaign::CampaignResult fresh;
+  std::string fresh_discovery;
+  {
+    campaign::Campaign campaign(world.engine(), world.vantage_points(),
+                                options);
+    fresh = campaign.Run(targets);
+  }
+  {
+    campaign::Campaign campaign(world.engine(), world.vantage_points(),
+                                options);
+    fresh_discovery = TraceBytes(campaign.RunDiscovery(targets));
+  }
+  const std::string want = ResultBytes(fresh, world);
+  ASSERT_FALSE(fresh.traces.empty());
+
+  campaign::Campaign twice(world.engine(), world.vantage_points(), options);
+  (void)twice.Run(targets);
+  const campaign::CampaignResult second = twice.Run(targets);
+  EXPECT_EQ(second.probes_sent, fresh.probes_sent);
+  EXPECT_EQ(ResultBytes(second, world), want);
+  EXPECT_EQ(TraceBytes(twice.RunDiscovery(targets)), fresh_discovery)
+      << "RunDiscovery after Run";
+
+  campaign::Campaign after_discovery(world.engine(), world.vantage_points(),
+                                     options);
+  (void)after_discovery.RunDiscovery(targets);
+  const campaign::CampaignResult run = after_discovery.Run(targets);
+  EXPECT_EQ(run.probes_sent, fresh.probes_sent);
+  EXPECT_EQ(ResultBytes(run, world), want) << "Run after RunDiscovery";
 }
 
 TEST(CompactTraceLog, RoundTripsEveryFieldTheReduceReads) {

@@ -57,7 +57,13 @@ Suppressions use the determinism-lint syntax and rule ids above:
   // lint:allow-next-line(sem-const-mutation): reason
   // lint:allow-file(sem-unordered-flow): reason
 
-Exit status: 0 = clean, 1 = findings, 2 = usage error.
+Entry specs must stay live: a hot_entries, hot_alloc_exempt or
+deterministic_entries spec that matches no function of a whole-tree run
+is an error, so renaming or deleting an entry cannot quietly drop the
+coverage it stood for.
+
+Exit status: 0 = clean, 1 = findings, 2 = usage error or stale entry
+spec.
 """
 
 from __future__ import annotations
@@ -90,11 +96,13 @@ DEFAULT_CONFIG = {
         "sim::Engine::SendBatch",
         "sim::Network::OnLinkStateChange",
         "sim::Network::ConvergeFull",
-        # The streaming campaign's shard scheduler and replay reduce: the
-        # byte-identity contract (docs/scaling.md) dies the moment either
-        # can reach a clock or an unseeded RNG.
-        "campaign::Campaign::TraceShardsStreaming",
-        "campaign::Campaign::RunStreaming",
+        # The campaign's probing loop and every entry into its reduce:
+        # the byte-identity contract (docs/scaling.md) dies the moment
+        # either can reach a clock or an unseeded RNG.
+        "campaign::Campaign::TraceTargets",
+        "campaign::Campaign::Run",
+        "campaign::Campaign::RunDelta",
+        "campaign::Campaign::RunDiscovery",
         "campaign::CompactTraceLog::Append",
         "campaign::CompactTraceLog::Inflate",
     ],
@@ -104,6 +112,9 @@ DEFAULT_CONFIG = {
     # The seeded-RNG home may name the raw engines it wraps.
     "nondet_exempt_files": ["src/netbase/rng.h"],
 }
+
+# The config lists whose specs must each match at least one function.
+ENTRY_LISTS = ("hot_entries", "hot_alloc_exempt", "deterministic_entries")
 
 RULES = (
     "sem-hot-alloc",
@@ -736,6 +747,16 @@ class Model:
         return chains
 
 
+def stale_specs(model: Model, config: dict) -> list[tuple[str, str]]:
+    """(list name, spec) for every entry spec that matches no function."""
+    return [
+        (key, spec)
+        for key in ENTRY_LISTS
+        for spec in config.get(key, [])
+        if not any(matches_any(qname, [spec]) for qname in model.functions)
+    ]
+
+
 def fmt_chain(chain: list[str]) -> str:
     names = [q.split("::")[-2] + "::" + q.split("::")[-1]
              if q.count("::") >= 2 else q for q in chain]
@@ -1053,6 +1074,17 @@ def main() -> int:
             for callee in sorted(model.calls[qname]):
                 print(f"{qname} -> {callee}")
         return 0
+
+    # A subset of paths need not define every entry; the whole tree must.
+    if not args.paths:
+        stale = stale_specs(model, config)
+        for key, spec in stale:
+            print(
+                f"error: stale {key} spec '{spec}' matches no function",
+                file=sys.stderr,
+            )
+        if stale:
+            return 2
 
     findings = Analyzer(model, config).run()
     for finding in findings:

@@ -11,13 +11,16 @@ semantic/rules.json:
               (inline, next-line, file-level) — zero findings
 
 Plus model-level tests pinning the parser facts the rules depend on
-(field flags, call-graph edges, const-method detection).
+(field flags, call-graph edges, const-method detection), and the
+stale-entry check: a config spec that names no function is an error.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -158,6 +161,31 @@ class ModelTest(unittest.TestCase):
             "fix::Engine::Step",
             self.model.calls.get("fix::Engine::Send", set()),
         )
+
+
+class StaleSpecTest(unittest.TestCase):
+    # The bad tree defines every function the fixture config names.
+    def test_fixture_specs_are_live(self):
+        model = build_tree_model("bad")
+        self.assertEqual([], semantic_lint.stale_specs(model, CONFIG))
+
+    def test_stale_spec_exits_nonzero_and_is_named(self):
+        # A renamed entry must not silently drop out of its rule: exit 2,
+        # not the bad tree's findings status 1.
+        for key in semantic_lint.ENTRY_LISTS:
+            with self.subTest(key=key), tempfile.TemporaryDirectory() as tmp:
+                config = dict(CONFIG)
+                config[key] = CONFIG[key] + ["Probe::Renamed"]
+                rules = Path(tmp) / "rules.json"
+                rules.write_text(json.dumps(config))
+                proc = subprocess.run(
+                    [sys.executable, str(HERE / "semantic_lint.py"),
+                     "--root", str(FIXTURES / "bad"),
+                     "--config", str(rules)],
+                    capture_output=True, text=True,
+                )
+                self.assertEqual(proc.returncode, 2, proc.stdout)
+                self.assertIn(f"{key} spec 'Probe::Renamed'", proc.stderr)
 
 
 class RealTreeTest(unittest.TestCase):
