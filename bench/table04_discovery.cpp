@@ -59,7 +59,7 @@ int main() {
     }
   }
   std::cout << "\ncampaign: " << result.probes_sent << " probes, "
-            << result.traces.size() << " targeted traces, "
+            << result.trace_count << " targeted traces, "
             << result.revelations.size() << " candidate pairs, "
             << result.revealed_count() << " revealed.\n";
   std::cout << "at the paper's probing rate (25 pkt/s per VP set) this "

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::cout << "running campaign (discovery + HDN-guided probing)...\n";
   const auto result = campaign.Run(net.AllLoopbacks());
   std::cout << "  " << result.probes_sent << " probes, "
-            << result.traces.size() << " targeted traces, "
+            << result.trace_count << " targeted traces, "
             << result.targets.hdns.size() << " HDNs, "
             << result.revelations.size() << " candidate tunnels, "
             << result.revealed_count() << " revealed\n\n";
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   if (argc > 2) {
     std::ofstream out(argv[2]);
     io::WriteTraces(out, result.traces);
-    std::cout << "\nwrote " << result.traces.size() << " traces to "
+    std::cout << "\nwrote " << result.trace_count << " traces to "
               << argv[2] << "\n";
   }
   return 0;

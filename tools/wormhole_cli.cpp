@@ -137,7 +137,7 @@ int RunCampaign(std::uint64_t seed, const std::string& tracefile,
   if (!tracefile.empty()) {
     std::ofstream out(tracefile);
     io::WriteTraces(out, result.traces);
-    std::cout << "wrote " << result.traces.size() << " traces to "
+    std::cout << "wrote " << result.trace_count << " traces to "
               << tracefile << "\n";
   }
   return 0;
