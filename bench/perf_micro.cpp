@@ -28,6 +28,7 @@
 #include "probe/prober.h"
 #include "reveal/revelator.h"
 #include "routing/as_path.h"
+#include "routing/bgp.h"
 #include "routing/delta.h"
 #include "routing/fib.h"
 #include "routing/igp.h"
@@ -530,6 +531,31 @@ void BM_CampaignScaling(benchmark::State& state) {
 BENCHMARK(BM_CampaignScaling)
     ->ArgNames({"size", "targets", "shard"})
     ->ArgsProduct({{0, 1}, {2048, 0}, {0, 64}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ComputeBgpLevel(benchmark::State& state) {
+  // The AS-level BGP state of a hierarchical world (size 0 ~600 routers,
+  // size 1 ~8.5k — the churn-9k shape): adjacency, one core BFS per core
+  // AS, and the flattened install plans. The flat worlds of
+  // BM_FullControlPlaneConvergence never run the core BFS. Every
+  // Network build and every inter-AS flap pays this once.
+  gen::SyntheticInternet& world =
+      ScalingWorldOfSize(static_cast<int>(state.range(0)));
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    const routing::BgpLevel level =
+        routing::ComputeBgpLevel(world.topology(), world.bgp_policy());
+    rows = level.next_for.size();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["next_for_rows"] = static_cast<double>(rows);
+  state.counters["ases"] =
+      static_cast<double>(world.topology().AsNumbers().size());
+}
+BENCHMARK(BM_ComputeBgpLevel)
+    ->ArgName("size")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// A stream buffer that counts and drops every byte: the report's

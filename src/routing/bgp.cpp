@@ -1,7 +1,7 @@
 #include "routing/bgp.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <utility>
 
 namespace wormhole::routing {
@@ -29,81 +29,79 @@ AsAdjacency BuildAsAdjacency(const Topology& topology) {
   return adjacency;
 }
 
-/// BFS over the AS graph from destination `to_as`, honouring the stub
-/// policy. Returns, for every AS, its chosen next AS towards `to_as`
-/// (0 when unreachable; `to_as` maps to itself).
-std::map<AsNumber, AsNumber> ComputeNextAs(const Topology& topology,
-                                           const AsAdjacency& adjacency,
-                                           const BgpPolicy& policy,
-                                           AsNumber to_as) {
-  std::map<AsNumber, int> distance;
-  std::map<AsNumber, AsNumber> next_as;
-  for (const AsNumber asn : topology.AsNumbers()) {
-    distance[asn] = -1;
-    next_as[asn] = 0;
+constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+
+/// The AS graph the BFS runs on, index-addressed: node i is `asns[i]`
+/// (ascending, so comparing indices compares ASNs) and `peers[i]` lists
+/// its neighbours' indices in ASN order; neighbours outside `asns` are
+/// dropped once, here. A non-`transit` node (a policy stub) is reached
+/// but never expanded unless it is the destination.
+struct AsGraph {
+  std::vector<AsNumber> asns;
+  std::vector<std::vector<std::uint32_t>> peers;
+  std::vector<bool> transit;
+
+  std::uint32_t IndexOf(AsNumber asn) const {
+    const auto it = std::lower_bound(asns.begin(), asns.end(), asn);
+    return it != asns.end() && *it == asn
+               ? static_cast<std::uint32_t>(it - asns.begin())
+               : kNoNode;
   }
-  distance[to_as] = 0;
-  next_as[to_as] = to_as;
+  AsNumber AsnOf(std::uint32_t node) const {
+    return node == kNoNode ? 0 : asns[node];
+  }
+};
 
-  std::deque<AsNumber> queue{to_as};
-  while (!queue.empty()) {
-    const AsNumber current = queue.front();
-    queue.pop_front();
-    // A stub AS may receive traffic (be `to_as`) but never forwards it;
-    // do not expand through it unless it is the destination itself.
-    if (policy.stub_ases.contains(current) && current != to_as) continue;
-
-    const auto it = adjacency.find(current);
+AsGraph BuildAsGraph(std::vector<AsNumber> asns,
+                     const AsAdjacency& adjacency, const BgpPolicy& policy) {
+  AsGraph graph;
+  std::sort(asns.begin(), asns.end());
+  graph.asns = std::move(asns);
+  graph.peers.resize(graph.asns.size());
+  for (std::uint32_t i = 0; i < graph.asns.size(); ++i) {
+    graph.transit.push_back(!policy.stub_ases.contains(graph.asns[i]));
+    const auto it = adjacency.find(graph.asns[i]);
     if (it == adjacency.end()) continue;
     for (const auto& [peer, links] : it->second) {
-      if (distance[peer] == -1) {
-        distance[peer] = distance[current] + 1;
-        next_as[peer] = current;
-        queue.push_back(peer);
-      } else if (distance[peer] == distance[current] + 1 &&
-                 current < next_as[peer]) {
-        // Deterministic tie-break: prefer the lower next ASN.
-        next_as[peer] = current;
-      }
+      const std::uint32_t node = graph.IndexOf(peer);
+      if (node != kNoNode) graph.peers[i].push_back(node);
     }
   }
-  return next_as;
+  return graph;
 }
 
-/// Hierarchical-mode BFS over the CORE AS graph only (stubs are leaves:
-/// never expanded, never given entries). Same distances and tie-breaks as
-/// ComputeNextAs restricted to non-stub ASes.
-std::map<AsNumber, AsNumber> ComputeNextAsCore(
-    const std::vector<AsNumber>& core, const AsAdjacency& adjacency,
-    const BgpPolicy& policy, AsNumber to_as) {
-  std::map<AsNumber, int> distance;
-  std::map<AsNumber, AsNumber> next_as;
-  for (const AsNumber asn : core) {
-    distance[asn] = -1;
-    next_as[asn] = 0;
-  }
-  distance[to_as] = 0;
-  next_as[to_as] = to_as;
+/// BFS state, reused across destinations.
+struct NextNodes {
+  std::vector<int> dist;
+  std::vector<std::uint32_t> next;
+  std::vector<std::uint32_t> queue;
+};
 
-  std::deque<AsNumber> queue{to_as};
-  while (!queue.empty()) {
-    const AsNumber current = queue.front();
-    queue.pop_front();
-    const auto it = adjacency.find(current);
-    if (it == adjacency.end()) continue;
-    for (const auto& [peer, links] : it->second) {
-      if (policy.stub_ases.contains(peer)) continue;
-      if (distance[peer] == -1) {
-        distance[peer] = distance[current] + 1;
-        next_as[peer] = current;
-        queue.push_back(peer);
-      } else if (distance[peer] == distance[current] + 1 &&
-                 current < next_as[peer]) {
-        next_as[peer] = current;
+/// The AS-level BFS from destination node `to`: leaves in `out.next[i]`
+/// node i's chosen next node towards `to` (kNoNode when unreachable; `to`
+/// maps to itself). Shorter AS paths win; equal lengths go to the lower
+/// next index, i.e. the lower next ASN.
+void ComputeNextNodes(const AsGraph& graph, std::uint32_t to,
+                      NextNodes& out) {
+  out.dist.assign(graph.asns.size(), -1);
+  out.next.assign(graph.asns.size(), kNoNode);
+  out.dist[to] = 0;
+  out.next[to] = to;
+  out.queue.assign(1, to);
+  for (std::size_t head = 0; head < out.queue.size(); ++head) {
+    const std::uint32_t current = out.queue[head];
+    if (current != to && !graph.transit[current]) continue;
+    const int peer_dist = out.dist[current] + 1;
+    for (const std::uint32_t peer : graph.peers[current]) {
+      if (out.dist[peer] == -1) {
+        out.dist[peer] = peer_dist;
+        out.next[peer] = current;
+        out.queue.push_back(peer);
+      } else if (out.dist[peer] == peer_dist && current < out.next[peer]) {
+        out.next[peer] = current;
       }
     }
   }
-  return next_as;
 }
 
 /// The covering prefix a core AS announces in hierarchical mode.
@@ -158,55 +156,50 @@ void FlattenHierarchicalExits(const Topology& topology,
 BgpLevel ComputeBgpLevel(const Topology& topology, const BgpPolicy& policy) {
   BgpLevel level;
   level.adjacency = BuildAsAdjacency(topology);
-  if (policy.hierarchical) {
-    std::vector<AsNumber> core;
-    for (const AsNumber asn : topology.AsNumbers()) {
-      if (!policy.stub_ases.contains(asn)) core.push_back(asn);
+  const std::vector<AsNumber> ases = topology.AsNumbers();
+  // Hierarchical mode routes between core ASes only: stubs are leaves
+  // reached through their providers' direct customer routes.
+  std::vector<AsNumber> nodes;
+  for (const AsNumber asn : ases) {
+    if (!policy.hierarchical || !policy.stub_ases.contains(asn)) {
+      nodes.push_back(asn);
     }
-    std::sort(core.begin(), core.end());
-    for (const AsNumber to_as : core) {
-      level.next_for[to_as] =
-          ComputeNextAsCore(core, level.adjacency, policy, to_as);
-    }
-    FlattenHierarchicalExits(topology, policy, core, level);
-    for (const AsNumber from_as : topology.AsNumbers()) {
-      std::vector<BorderSubnet>& subnets = level.border_subnets[from_as];
-      for (const RouterId border : topology.as(from_as).routers) {
-        for (const topo::InterfaceId iid :
-             topology.router(border).interfaces) {
-          const topo::Interface& iface = topology.interface(iid);
-          if (iface.link == topo::kNoLink ||
-              !topology.link(iface.link).up ||
-              topology.IsInternalLink(iface.link)) {
-            continue;
-          }
-          subnets.push_back({iface.subnet, border});
-        }
-      }
-    }
-    return level;
   }
-  for (const AsNumber to_as : topology.AsNumbers()) {
-    level.next_for[to_as] =
-        ComputeNextAs(topology, level.adjacency, policy, to_as);
+  const AsGraph graph =
+      BuildAsGraph(std::move(nodes), level.adjacency, policy);
+  NextNodes bfs;
+  for (std::uint32_t to = 0; to < graph.asns.size(); ++to) {
+    ComputeNextNodes(graph, to, bfs);
+    auto& row =
+        level.next_for.try_emplace(level.next_for.end(), graph.asns[to])
+            ->second;
+    for (std::uint32_t from = 0; from < graph.asns.size(); ++from) {
+      row.emplace_hint(row.end(), graph.asns[from],
+                       graph.AsnOf(bfs.next[from]));
+    }
   }
 
   // Flatten both per-source-AS install plans once, here, so the install
   // loop below runs map-free per router. Orders mirror the historical
-  // per-router scans exactly: destinations ascending; border subnets in
-  // AS-member then interface order.
-  for (const AsNumber from_as : topology.AsNumbers()) {
-    std::vector<BgpExit>& exits = level.exits[from_as];
-    const auto adjacency_it = level.adjacency.find(from_as);
-    for (const AsNumber to_as : topology.AsNumbers()) {
-      if (from_as == to_as) continue;
-      const AsNumber via = level.next_for.at(to_as).at(from_as);
-      if (via == 0) continue;  // unreachable
-      // via != 0 implies from_as has at least one eBGP adjacency.
-      exits.push_back(
-          {topology.as(to_as).block, &adjacency_it->second.at(via)});
+  // per-router scans exactly: destinations in AsNumbers() order; border
+  // subnets in AS-member then interface order.
+  if (policy.hierarchical) {
+    FlattenHierarchicalExits(topology, policy, graph.asns, level);
+  } else {
+    for (const AsNumber from_as : ases) {
+      std::vector<BgpExit>& exits = level.exits[from_as];
+      const auto adjacency_it = level.adjacency.find(from_as);
+      for (const AsNumber to_as : ases) {
+        if (from_as == to_as) continue;
+        const AsNumber via = level.next_for.at(to_as).at(from_as);
+        if (via == 0) continue;  // unreachable
+        // via != 0 implies from_as has at least one eBGP adjacency.
+        exits.push_back(
+            {topology.as(to_as).block, &adjacency_it->second.at(via)});
+      }
     }
-
+  }
+  for (const AsNumber from_as : ases) {
     std::vector<BorderSubnet>& subnets = level.border_subnets[from_as];
     for (const RouterId border : topology.as(from_as).routers) {
       for (const topo::InterfaceId iid :
@@ -226,10 +219,14 @@ BgpLevel ComputeBgpLevel(const Topology& topology, const BgpPolicy& policy) {
 AsNumber BgpNextAs(const Topology& topology, const BgpPolicy& policy,
                    AsNumber from_as, AsNumber to_as) {
   if (from_as == to_as) return 0;
-  const AsAdjacency adjacency = BuildAsAdjacency(topology);
-  const auto next = ComputeNextAs(topology, adjacency, policy, to_as);
-  const auto it = next.find(from_as);
-  return it == next.end() ? 0 : it->second;
+  const AsGraph graph =
+      BuildAsGraph(topology.AsNumbers(), BuildAsAdjacency(topology), policy);
+  const std::uint32_t from = graph.IndexOf(from_as);
+  const std::uint32_t to = graph.IndexOf(to_as);
+  if (from == kNoNode || to == kNoNode) return 0;
+  NextNodes bfs;
+  ComputeNextNodes(graph, to, bfs);
+  return graph.AsnOf(bfs.next[from]);
 }
 
 void InstallBgpRoutesForRouter(const Topology& topology,

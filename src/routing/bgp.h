@@ -30,13 +30,15 @@ struct BgpPolicy {
   /// fine for testbed worlds and fatal at 100k routers. On, routing
   /// mirrors provider aggregation in the real Internet: a stub AS
   /// installs its intra-AS routes plus a single 0.0.0.0/0 default toward
-  /// its (lowest-ASN) provider; a core AS installs one covering
-  /// `aggregates` prefix per other core AS plus a direct route per
-  /// adjacent stub customer. Per-router FIB size drops from O(#ASes) to
-  /// O(#core ASes + own customers), and the AS-level BFS shrinks from
-  /// the full AS graph to the core graph. Requires customer address
-  /// blocks to be allocated inside their provider's announced aggregate
-  /// (gen::internet's hierarchical address plan does this).
+  /// its lowest-ASN non-stub neighbour; a core (non-stub) AS installs one
+  /// covering `aggregates` prefix per other reachable core AS plus a
+  /// direct route per adjacent stub. Per-router FIB size drops from
+  /// O(#ASes) to O(#core ASes + adjacent stubs). The AS-level BFS runs on
+  /// the core graph alone — stubs are neither nodes nor peers in it — so
+  /// BgpLevel::next_for holds one row per core AS, covering core ASes
+  /// only. Requires customer address blocks to be allocated inside their
+  /// provider's announced aggregate (gen::internet's hierarchical address
+  /// plan does this).
   bool hierarchical = false;
   /// Covering prefix each core AS announces (its own block plus its
   /// customers' blocks); a core AS absent from the map announces just
@@ -68,7 +70,9 @@ struct BorderSubnet {
 /// The AS-level view of a converged BGP: the eBGP adjacency (per AS,
 /// grouped by peer, in link-id order — which fixes all hot-potato
 /// tie-breaks) and, for every destination AS, each source AS's chosen
-/// next AS (0 when unreachable; the destination maps to itself).
+/// next AS (0 when unreachable; the destination maps to itself; core ASes
+/// only in hierarchical mode). Shorter AS paths win, and equal lengths go
+/// to the lower next ASN.
 ///
 /// `exits` and `border_subnets` are the same data flattened into each
 /// source AS's install order, resolved once in ComputeBgpLevel so the

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "gen/internet.h"
 #include "routing/bgp.h"
 #include "routing/fib.h"
 #include "routing/igp.h"
@@ -12,6 +18,7 @@
 namespace wormhole::routing {
 namespace {
 
+using topo::AsNumber;
 using topo::RouterId;
 using topo::Topology;
 using topo::Vendor;
@@ -381,6 +388,225 @@ TEST(Bgp, InjectsExternalLinkSubnetsViaIbgp) {
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->source, RouteSource::kBgp);
   EXPECT_EQ(e->bgp_next_hop, w.t.router(2).loopback);
+}
+
+// --- next_for against the map-based reference BFS -------------------------
+//
+// ComputeBgpLevel runs its per-destination BFS on a dense, index-addressed
+// AS graph. The two map-based BFSes below are the flat and hierarchical
+// routines it replaced, kept as the oracle every next_for row must equal.
+
+using ReferenceAdjacency = std::map<AsNumber, std::set<AsNumber>>;
+
+ReferenceAdjacency BuildReferenceAdjacency(const Topology& t) {
+  ReferenceAdjacency adjacency;
+  for (const topo::Link& link : t.links()) {
+    if (!link.up) continue;
+    const AsNumber as_a = t.router(t.interface(link.a).router).asn;
+    const AsNumber as_b = t.router(t.interface(link.b).router).asn;
+    if (as_a == as_b) continue;
+    adjacency[as_a].insert(as_b);
+    adjacency[as_b].insert(as_a);
+  }
+  return adjacency;
+}
+
+/// Flat mode: BFS over every AS; a stub is reached but not expanded
+/// unless it is the destination.
+std::map<AsNumber, AsNumber> ReferenceNextAs(
+    const Topology& t, const ReferenceAdjacency& adjacency,
+    const BgpPolicy& policy, AsNumber to_as) {
+  std::map<AsNumber, int> distance;
+  std::map<AsNumber, AsNumber> next_as;
+  for (const AsNumber asn : t.AsNumbers()) {
+    distance[asn] = -1;
+    next_as[asn] = 0;
+  }
+  distance[to_as] = 0;
+  next_as[to_as] = to_as;
+  std::deque<AsNumber> queue{to_as};
+  while (!queue.empty()) {
+    const AsNumber current = queue.front();
+    queue.pop_front();
+    if (policy.stub_ases.contains(current) && current != to_as) continue;
+    const auto it = adjacency.find(current);
+    if (it == adjacency.end()) continue;
+    for (const AsNumber peer : it->second) {
+      if (distance[peer] == -1) {
+        distance[peer] = distance[current] + 1;
+        next_as[peer] = current;
+        queue.push_back(peer);
+      } else if (distance[peer] == distance[current] + 1 &&
+                 current < next_as[peer]) {
+        next_as[peer] = current;
+      }
+    }
+  }
+  return next_as;
+}
+
+/// Hierarchical mode: BFS over the core ASes only; stub peers are skipped.
+std::map<AsNumber, AsNumber> ReferenceNextAsCore(
+    const std::vector<AsNumber>& core, const ReferenceAdjacency& adjacency,
+    const BgpPolicy& policy, AsNumber to_as) {
+  std::map<AsNumber, int> distance;
+  std::map<AsNumber, AsNumber> next_as;
+  for (const AsNumber asn : core) {
+    distance[asn] = -1;
+    next_as[asn] = 0;
+  }
+  distance[to_as] = 0;
+  next_as[to_as] = to_as;
+  std::deque<AsNumber> queue{to_as};
+  while (!queue.empty()) {
+    const AsNumber current = queue.front();
+    queue.pop_front();
+    const auto it = adjacency.find(current);
+    if (it == adjacency.end()) continue;
+    for (const AsNumber peer : it->second) {
+      if (policy.stub_ases.contains(peer)) continue;
+      if (distance[peer] == -1) {
+        distance[peer] = distance[current] + 1;
+        next_as[peer] = current;
+        queue.push_back(peer);
+      } else if (distance[peer] == distance[current] + 1 &&
+                 current < next_as[peer]) {
+        next_as[peer] = current;
+      }
+    }
+  }
+  return next_as;
+}
+
+std::map<AsNumber, std::map<AsNumber, AsNumber>> ReferenceNextFor(
+    const Topology& t, const BgpPolicy& policy) {
+  const ReferenceAdjacency adjacency = BuildReferenceAdjacency(t);
+  std::map<AsNumber, std::map<AsNumber, AsNumber>> next_for;
+  if (!policy.hierarchical) {
+    for (const AsNumber to_as : t.AsNumbers()) {
+      next_for[to_as] = ReferenceNextAs(t, adjacency, policy, to_as);
+    }
+    return next_for;
+  }
+  std::vector<AsNumber> core;
+  for (const AsNumber asn : t.AsNumbers()) {
+    if (!policy.stub_ases.contains(asn)) core.push_back(asn);
+  }
+  std::sort(core.begin(), core.end());
+  for (const AsNumber to_as : core) {
+    next_for[to_as] = ReferenceNextAsCore(core, adjacency, policy, to_as);
+  }
+  return next_for;
+}
+
+/// Compares every next_for row of ComputeBgpLevel with the oracle.
+void ExpectNextForMatchesReference(const Topology& t,
+                                   const BgpPolicy& policy) {
+  const auto want = ReferenceNextFor(t, policy);
+  const BgpLevel level = ComputeBgpLevel(t, policy);
+  ASSERT_EQ(level.next_for.size(), want.size());
+  for (const auto& [to_as, row] : want) {
+    const auto it = level.next_for.find(to_as);
+    ASSERT_NE(it, level.next_for.end()) << "no row for AS " << to_as;
+    EXPECT_EQ(it->second, row) << "row for AS " << to_as;
+  }
+}
+
+/// The shape of the tiny worlds tests/test_convergence_parity.cpp flaps.
+gen::InternetOptions TinyWorld(bool hierarchical) {
+  gen::InternetOptions options;
+  options.seed = 11;
+  options.tier1_count = 2;
+  options.transit_count = 2;
+  options.stub_count = hierarchical ? 4 : 3;
+  options.tier1_routers = 5;
+  options.transit_routers = 4;
+  options.stub_routers = 2;
+  options.vp_count = 2;
+  options.hierarchical = hierarchical;
+  return options;
+}
+
+TEST(BgpNextFor, MatchesReferenceOnFlatWorldWithStubPolicy) {
+  const gen::SyntheticInternet world(TinyWorld(/*hierarchical=*/false));
+  ASSERT_FALSE(world.bgp_policy().hierarchical);
+  ASSERT_FALSE(world.bgp_policy().stub_ases.empty());
+  ExpectNextForMatchesReference(world.topology(), world.bgp_policy());
+}
+
+TEST(BgpNextFor, MatchesReferenceOnHierarchicalTinyWorld) {
+  const gen::SyntheticInternet world(TinyWorld(/*hierarchical=*/true));
+  ASSERT_TRUE(world.bgp_policy().hierarchical);
+  ExpectNextForMatchesReference(world.topology(), world.bgp_policy());
+}
+
+TEST(BgpNextFor, MatchesReferenceOnHierarchical9kWorld) {
+  // The ~8.5k-router hierarchical world of perfbench's churn-9k workload.
+  gen::InternetOptions options;
+  options.seed = 42;
+  options.hierarchical = true;
+  options.vp_count = 4;
+  options.tier1_count = 2;
+  options.transit_count = 40;
+  options.transit_routers = 32;
+  options.stub_count = 2400;
+  const gen::SyntheticInternet world(options);
+  ASSERT_GT(world.topology().router_count(), 8000u);
+  ExpectNextForMatchesReference(world.topology(), world.bgp_policy());
+}
+
+/// One router per AS, one link per listed AS pair.
+Topology AsChain(const std::vector<AsNumber>& ases,
+                 const std::vector<std::pair<AsNumber, AsNumber>>& links) {
+  Topology t;
+  std::map<AsNumber, RouterId> router_of;
+  for (const AsNumber asn : ases) {
+    t.AddAs(asn, "as" + std::to_string(asn));
+    router_of[asn] =
+        t.AddRouter(asn, "r" + std::to_string(asn), Vendor::kCiscoIos);
+  }
+  for (const auto& [a, b] : links) t.AddLink(router_of[a], router_of[b]);
+  return t;
+}
+
+TEST(BgpNextFor, EqualLengthTieGoesToLowerAsnNotFirstReached) {
+  // From AS 10, AS 1 is three AS hops away via 9-2 and via 4-3. The BFS
+  // from AS 1 reaches 10 first through 9 (2 is dequeued before 3), but
+  // the lower next ASN, 4, must win.
+  const Topology t = AsChain({1, 2, 3, 4, 9, 10},
+                             {{1, 2}, {1, 3}, {2, 9}, {3, 4}, {9, 10},
+                              {4, 10}});
+  const BgpLevel level = ComputeBgpLevel(t, {});
+  EXPECT_EQ(level.next_for.at(1).at(10), 4u);
+  EXPECT_EQ(level.next_for.at(1).at(2), 1u);
+  EXPECT_EQ(level.next_for.at(1).at(1), 1u);
+  EXPECT_EQ(BgpNextAs(t, {}, 10, 1), 4u);
+  ExpectNextForMatchesReference(t, {});
+}
+
+TEST(BgpNextFor, UnreachableAsMapsToZero) {
+  const Topology t = AsChain({1, 2, 7}, {{1, 2}});
+  const BgpLevel level = ComputeBgpLevel(t, {});
+  EXPECT_EQ(level.next_for.at(1).at(7), 0u);
+  EXPECT_EQ(level.next_for.at(7).at(1), 0u);
+  EXPECT_EQ(level.next_for.at(7).at(7), 7u);
+  EXPECT_TRUE(level.exits.at(7).empty());
+  EXPECT_EQ(BgpNextAs(t, {}, 1, 7), 0u);
+  ExpectNextForMatchesReference(t, {});
+}
+
+TEST(BgpNextFor, StubIsReachedAsDestinationButNeverTransits) {
+  BgpPolicy policy;
+  policy.stub_ases = {2};
+  const Topology t = AsChain({1, 2, 3}, {{1, 2}, {2, 3}});
+  const BgpLevel level = ComputeBgpLevel(t, policy);
+  EXPECT_EQ(level.next_for.at(2).at(1), 2u);
+  EXPECT_EQ(level.next_for.at(2).at(3), 2u);
+  EXPECT_EQ(level.next_for.at(3).at(1), 0u);
+  EXPECT_EQ(level.next_for.at(1).at(3), 0u);
+  EXPECT_EQ(level.next_for.at(3).at(2), 3u);
+  EXPECT_EQ(BgpNextAs(t, policy, 1, 3), 0u);
+  ExpectNextForMatchesReference(t, policy);
 }
 
 }  // namespace
