@@ -46,10 +46,13 @@ The analyzer is deliberately self-contained (no libclang — the analysis
 container has no clang at all): a comment/string-stripping pass keeps
 byte offsets stable, a brace-tracking scope machine recovers namespaces,
 classes, fields and function bodies, and receivers are resolved through
-declared types (params, locals, fields, smart-pointer payloads).
-Unresolvable calls (virtual through unknown types, function pointers)
-drop edges — the rules err toward silence, and the fixture suite pins
-the shapes that must keep working.
+declared types (params, locals including `T* const` ones, fields,
+smart-pointer payloads), one member step (`a.b->F()`, `a[i].b.F()`)
+through the field type of `a`'s class, and a subscript through the
+container's element type. Unresolvable calls (virtual through unknown
+types, function pointers, deeper member chains) drop edges — the rules
+err toward silence, and the fixture suite pins the shapes that must keep
+working.
 
 Suppressions use the determinism-lint syntax and rule ids above:
 
@@ -171,12 +174,17 @@ MUTATING_METHODS = (
     "push_back", "emplace_back", "pop_back", "resize", "reserve", "clear",
     "insert", "emplace", "erase", "assign", "store", "swap", "append",
 )
+# A call's receiver is a name, optionally subscripted, plus at most one
+# member step: `x`, `x[i]`, `x.m`, `x->m`, `x[i].m`, `x.m[j]`.
+_SUBSCRIPT = r"(?:\s*\[[^\[\]]*\])?"
 CALL_SITE = re.compile(
-    r"(?:(\w+)\s*(\.|->)\s*)?((?:\w+::)*~?\w+)\s*\("
+    r"(?:(\w+" + _SUBSCRIPT + r"(?:\s*(?:\.|->)\s*\w+" + _SUBSCRIPT
+    + r")?)\s*(\.|->)\s*)?((?:\w+::)*~?\w+)\s*\("
 )
+RECEIVER_STEP = re.compile(r"(\w+)\s*(\[[^\[\]]*\])?")
 LOCAL_DECL = re.compile(
     r"\b((?:const\s+)?(?:\w+::)*\w+(?:<[^;<>]*(?:<[^<>]*>)?[^;<>]*>)?)"
-    r"\s*[&*]*\s+(\w+)\s*(?:=|\{|\(|;)"
+    r"\s*[&*]*(?:\s*const)?\s+(\w+)\s*(?:=|\{|\(|;)"
 )
 
 
@@ -643,6 +651,71 @@ class Model:
             return None
         return self.resolve_class(cleaned)
 
+    @staticmethod
+    def _element_type(type_text: str) -> str:
+        """vector<T>/deque<T>/array<T, N>/span<T> -> T, map<K, V> -> V;
+        anything else (a raw pointer or array) is itself."""
+        m = re.search(
+            r"\b(vector|deque|array|span|map|unordered_map)\s*<(.*)>",
+            type_text,
+        )
+        if not m:
+            return type_text
+        args, depth, start = [], 0, 0
+        for k, ch in enumerate(m.group(2)):
+            if ch == "<":
+                depth += 1
+            elif ch == ">":
+                depth -= 1
+            elif ch == "," and depth == 0:
+                args.append(m.group(2)[start:k])
+                start = k + 1
+        args.append(m.group(2)[start:])
+        keyed = m.group(1) in ("map", "unordered_map")
+        return args[1 if keyed and len(args) > 1 else 0].strip()
+
+    def _name_type(
+        self, func: FuncDef, name: str, locals_map: dict[str, str]
+    ) -> str | None:
+        """The type text of `this`, a local, a param or a field of the
+        calling class."""
+        if name == "this" and func.class_qname:
+            return func.class_qname
+        type_text = locals_map.get(name) or func.params.get(name)
+        if type_text is None and func.class_qname:
+            cls_info = self.classes.get(func.class_qname)
+            if cls_info and name in cls_info.fields:
+                type_text = cls_info.fields[name].type_text
+        return type_text
+
+    def _receiver_type(
+        self, func: FuncDef, receiver: str, locals_map: dict[str, str]
+    ) -> str | None:
+        """The type text of a call receiver (see CALL_SITE): the base
+        name's type, then a subscript through the container's element
+        type and a member step through the field type of that value's
+        class."""
+        steps = RECEIVER_STEP.findall(receiver)
+        (base, base_subscript), members = steps[0], steps[1:]
+        type_text = self._name_type(func, base, locals_map)
+        if type_text is not None and base_subscript:
+            type_text = self._element_type(type_text)
+        for member, subscript in members:
+            cls = self._type_to_class(type_text) if type_text else None
+            cls_info = self.classes.get(cls) if cls else None
+            if cls_info is None or member not in cls_info.fields:
+                type_text = None
+                break
+            type_text = cls_info.fields[member].type_text
+            if subscript:
+                type_text = self._element_type(type_text)
+        if type_text is None and members and not members[-1][1]:
+            # A field of a function-local struct (`bucket.ftl`): the
+            # struct is not modeled, but LOCAL_DECL reads its fields as
+            # locals of the enclosing function.
+            return self._name_type(func, members[-1][0], locals_map)
+        return type_text
+
     def _resolve_call(
         self, func: FuncDef, receiver: str | None, callee: str,
         locals_map: dict[str, str],
@@ -660,17 +733,7 @@ class Model:
                     return q
             return None
         if receiver:
-            type_text = None
-            if receiver == "this" and func.class_qname:
-                type_text = func.class_qname
-            else:
-                type_text = locals_map.get(receiver) or func.params.get(
-                    receiver
-                )
-                if type_text is None and func.class_qname:
-                    cls_info = self.classes.get(func.class_qname)
-                    if cls_info and receiver in cls_info.fields:
-                        type_text = cls_info.fields[receiver].type_text
+            type_text = self._receiver_type(func, receiver, locals_map)
             if type_text is None:
                 return None
             cls = self._type_to_class(type_text)

@@ -162,6 +162,24 @@ class ModelTest(unittest.TestCase):
             self.model.calls.get("fix::Engine::Send", set()),
         )
 
+    def test_receiver_resolved_through_const_pointer_local(self):
+        self.assertIn(
+            "fix::Meter::Tick",
+            self.model.calls.get("fix::Station::ThroughConstPointer", set()),
+        )
+
+    def test_receiver_resolved_through_member_chain(self):
+        # `slot.shared->Tick()`, `slots_[0].meter.Tick()` and
+        # `by_id_[7].meter.Tick()`: the base's type (param, vector
+        # element, map value), then the member's field type.
+        for caller in ("ThroughPointerMember", "ThroughSubscriptedMember",
+                       "ThroughMappedMember"):
+            with self.subTest(caller=caller):
+                self.assertIn(
+                    "fix::Meter::Tick",
+                    self.model.calls.get(f"fix::Station::{caller}", set()),
+                )
+
 
 class StaleSpecTest(unittest.TestCase):
     # The bad tree defines every function the fixture config names.
@@ -203,6 +221,14 @@ class RealTreeTest(unittest.TestCase):
         calls = self.model.calls.get("wormhole::sim::Engine::Send", set())
         self.assertIn("wormhole::sim::Engine::ProcessAt", calls)
         self.assertIn("wormhole::sim::Engine::CommitStats", calls)
+
+    def test_member_chain_receiver_edges(self):
+        # `rc.fib->Lookup(...)` on the hot path, resolved through the
+        # field type of the router cache.
+        self.assertIn(
+            "wormhole::routing::Fib::Lookup",
+            self.model.calls.get("wormhole::sim::Engine::ProcessIp", set()),
+        )
 
     def test_fib_seal_is_hot_reachable_but_exempt(self):
         lookup = "wormhole::routing::Fib::Lookup"
