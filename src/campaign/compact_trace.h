@@ -1,18 +1,21 @@
-// Packed per-VP trace storage for the streaming campaign.
+// Packed per-VP trace storage for the campaign pipeline.
 //
 // A full probe::TraceResult costs ~64 bytes per hop plus a label-stack
-// allocation per labelled hop — a million-trace campaign buffers over a
-// gigabyte before the reduce even starts. The streaming pipeline instead
-// compacts each retired shard of traces into this log (8 bytes per hop,
-// 12 per trace) and frees the originals; the sequential reduce later
-// re-inflates one trace at a time.
+// allocation per labelled hop — a million-trace campaign would buffer
+// over a gigabyte before the reduce even starts. Every campaign run
+// instead appends each trace to its vantage point's log as soon as it is
+// traced (8 bytes per hop, 12 per trace), at every shard size; the
+// sequential reduce later re-inflates one trace at a time. Only Run at
+// stream_shard_size 0 also keeps the whole targeted traces, for the
+// tracefile writer, and nothing in the reduce reads those.
 //
 // Contract: Inflate(i) reproduces every field the campaign reduce reads —
 // target, flow id, reached/unreachable flags, and per hop the probe TTL,
 // responder address, reply kind and reply IP-TTL. Label stacks and RTTs
-// are NOT retained: no streaming consumer (dataset building, UHP/candidate
-// analysis, fingerprinting, FRPLA/RTLA, the report) reads them, and
-// keeping them is exactly the memory the mode exists to not spend.
+// are NOT retained: no consumer of the log (dataset building,
+// UHP/candidate analysis, fingerprinting, FRPLA/RTLA, the report) reads
+// them, and keeping them is exactly the memory the log exists to not
+// spend.
 #pragma once
 
 #include <cstdint>

@@ -29,12 +29,14 @@ TargetSets SelectTargets(const topo::ItdkDataset& dataset,
 std::vector<std::vector<netbase::Ipv4Address>> ShardTargets(
     const std::vector<netbase::Ipv4Address>& targets, std::size_t shards);
 
-/// The streaming campaign's target stream: consecutive fixed-size shards
-/// of `shard_size` targets (the final shard may be shorter). The views
-/// point into `targets`, which must outlive them. `shard_size` 0 yields
-/// a single whole-run shard. Shard boundaries never reorder targets, so
-/// the trace stream — and every reduce consuming it — is identical at
-/// any shard size.
+/// Consecutive fixed-size shards of `shard_size` targets (the final shard
+/// may be shorter); `shard_size` 0 yields a single whole-list shard. The
+/// views point into `targets`, which must outlive them. The campaign's
+/// one probing loop walks each VP's targets through these shards,
+/// appending every trace to the VP's log as it is traced, and checks
+/// between shards that routing did not reconverge. Shard boundaries never
+/// reorder targets, so the trace stream — and every reduce consuming it —
+/// is identical at any shard size.
 std::vector<std::span<const netbase::Ipv4Address>> FixedShards(
     const std::vector<netbase::Ipv4Address>& targets, std::size_t shard_size);
 
