@@ -10,6 +10,7 @@
 #include <ostream>
 #include <set>
 #include <streambuf>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -25,6 +26,7 @@
 #include "mpls/ldp.h"
 #include "netbase/label.h"
 #include "netbase/packet.h"
+#include "netbase/rng.h"
 #include "probe/prober.h"
 #include "reveal/revelator.h"
 #include "routing/as_path.h"
@@ -536,7 +538,7 @@ BENCHMARK(BM_CampaignScaling)
 void BM_ComputeBgpLevel(benchmark::State& state) {
   // The AS-level BGP state of a hierarchical world (size 0 ~600 routers,
   // size 1 ~8.5k — the churn-9k shape): adjacency, one core BFS per core
-  // AS, and the flattened install plans. The flat worlds of
+  // AS, and the per-AS BGP tables. The flat worlds of
   // BM_FullControlPlaneConvergence never run the core BFS. Every
   // Network build and every inter-AS flap pays this once.
   gen::SyntheticInternet& world =
@@ -557,6 +559,36 @@ BENCHMARK(BM_ComputeBgpLevel)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+void BM_FibResolve(benchmark::State& state) {
+  // The packet path's lookup on the ~8.5k-router world (the churn-9k
+  // shape): a fixed pseudo-random sample of (router, loopback) pairs,
+  // each resolved over the router's stored routes and its AS's shared
+  // BGP table. bgp_share is the fraction answered by a BGP route.
+  gen::SyntheticInternet& world = ScalingWorldOfSize(1);
+  const std::vector<routing::Fib>& fibs = world.network().fibs();
+  const std::vector<netbase::Ipv4Address> loopbacks = world.AllLoopbacks();
+  std::vector<std::pair<std::size_t, netbase::Ipv4Address>> queries(4096);
+  netbase::Rng rng(7);
+  for (auto& [router, dst] : queries) {
+    router = rng.UniformU32() % fibs.size();
+    dst = loopbacks[rng.UniformU32() % loopbacks.size()];
+  }
+  std::size_t bgp = 0;
+  for (auto _ : state) {
+    bgp = 0;
+    for (const auto& [router, dst] : queries) {
+      const routing::Route route = fibs[router].Resolve(dst);
+      bgp += route && route.source == routing::RouteSource::kBgp;
+      benchmark::DoNotOptimize(route);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.size()));
+  state.counters["bgp_share"] =
+      static_cast<double>(bgp) / static_cast<double>(queries.size());
+}
+BENCHMARK(BM_FibResolve);
 
 /// A stream buffer that counts and drops every byte: the report's
 /// formatting still runs, but no memory or I/O is timed.

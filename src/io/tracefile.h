@@ -20,8 +20,10 @@ void WriteTrace(std::ostream& os, const probe::TraceResult& trace);
 void WriteTraces(std::ostream& os,
                  const std::vector<probe::TraceResult>& traces);
 
-/// Reads every trace from the stream; throws std::runtime_error on a
-/// malformed record.
+/// Reads every trace from the stream. Every malformed record — a bad
+/// token, a number out of range (TTLs above 255, labels above 2^20 - 1),
+/// a missing or extra field — throws a std::runtime_error that names its
+/// line.
 std::vector<probe::TraceResult> ReadTraces(std::istream& is);
 
 }  // namespace wormhole::io

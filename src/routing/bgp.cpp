@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <utility>
 
+#include "netbase/contracts.h"
+
 namespace wormhole::routing {
 
 namespace {
@@ -104,104 +106,41 @@ void ComputeNextNodes(const AsGraph& graph, std::uint32_t to,
   }
 }
 
-/// The covering prefix a core AS announces in hierarchical mode.
-Prefix AggregateOf(const Topology& topology, const BgpPolicy& policy,
-                   AsNumber asn) {
-  const auto it = policy.aggregates.find(asn);
-  return it != policy.aggregates.end() ? it->second : topology.as(asn).block;
+/// The prefixes a core AS announces in hierarchical mode, per graph node.
+std::vector<Prefix> Aggregates(const Topology& topology,
+                               const BgpPolicy& policy,
+                               const AsGraph& graph) {
+  std::vector<Prefix> out;
+  out.reserve(graph.asns.size());
+  for (const AsNumber asn : graph.asns) {
+    const auto it = policy.aggregates.find(asn);
+    out.push_back(it != policy.aggregates.end() ? it->second
+                                                : topology.as(asn).block);
+  }
+  return out;
 }
 
-/// Flattens the hierarchical per-source install plans: core ASes get one
-/// aggregate exit per other core AS plus a direct exit per stub customer;
-/// stub ASes get a single default exit toward their lowest-ASN provider.
-void FlattenHierarchicalExits(const Topology& topology,
-                              const BgpPolicy& policy,
-                              const std::vector<AsNumber>& core,
-                              BgpLevel& level) {
-  for (const AsNumber from_as : topology.AsNumbers()) {
-    std::vector<BgpExit>& exits = level.exits[from_as];
-    const auto adjacency_it = level.adjacency.find(from_as);
-    if (adjacency_it == level.adjacency.end()) continue;
-
-    if (policy.stub_ases.contains(from_as)) {
-      // Default toward the primary (lowest-ASN core) provider; its other
-      // providers still reach it directly, so dual-homing stays useful
-      // for inbound traffic.
-      for (const auto& [peer, links] : adjacency_it->second) {
-        if (policy.stub_ases.contains(peer)) continue;
-        exits.push_back({Prefix(netbase::Ipv4Address(0), 0), &links});
-        break;  // adjacency is ASN-ordered: first core peer is lowest
-      }
-      continue;
-    }
-
-    for (const AsNumber to_as : core) {
-      if (from_as == to_as) continue;
-      const AsNumber via = level.next_for.at(to_as).at(from_as);
-      if (via == 0) continue;  // unreachable
-      exits.push_back({AggregateOf(topology, policy, to_as),
-                       &adjacency_it->second.at(via)});
-    }
-    // Direct customer routes: more specific than any aggregate, so the
-    // LPM prefers them regardless of install order.
-    for (const auto& [peer, links] : adjacency_it->second) {
-      if (!policy.stub_ases.contains(peer)) continue;
-      exits.push_back({topology.as(peer).block, &links});
-    }
-  }
-}
-
-}  // namespace
-
-BgpLevel ComputeBgpLevel(const Topology& topology, const BgpPolicy& policy) {
-  BgpLevel level;
-  level.adjacency = BuildAsAdjacency(topology);
-  const std::vector<AsNumber> ases = topology.AsNumbers();
-  // Hierarchical mode routes between core ASes only: stubs are leaves
-  // reached through their providers' direct customer routes.
-  std::vector<AsNumber> nodes;
-  for (const AsNumber asn : ases) {
-    if (!policy.hierarchical || !policy.stub_ases.contains(asn)) {
-      nodes.push_back(asn);
-    }
-  }
-  const AsGraph graph =
-      BuildAsGraph(std::move(nodes), level.adjacency, policy);
-  NextNodes bfs;
-  for (std::uint32_t to = 0; to < graph.asns.size(); ++to) {
-    ComputeNextNodes(graph, to, bfs);
-    auto& row =
-        level.next_for.try_emplace(level.next_for.end(), graph.asns[to])
-            ->second;
-    for (std::uint32_t from = 0; from < graph.asns.size(); ++from) {
-      row.emplace_hint(row.end(), graph.asns[from],
-                       graph.AsnOf(bfs.next[from]));
+/// Builds one AS's BGP table and its egress groups, numbering the groups
+/// in first-use order.
+class AsTableBuilder {
+ public:
+  /// `row` is the AS's adjacency row (peer ASN → border links, ASN
+  /// order), or null for an AS without eBGP links.
+  AsTableBuilder(
+      AsBgp& out,
+      const std::map<AsNumber, std::vector<BorderLink>>* row)
+      : out_(out) {
+    if (row == nullptr) return;
+    for (const auto& [peer, links] : *row) {
+      peers_.push_back(Peer{peer, &links, kNoGroup});
     }
   }
 
-  // Flatten both per-source-AS install plans once, here, so the install
-  // loop below runs map-free per router. Orders mirror the historical
-  // per-router scans exactly: destinations in AsNumbers() order; border
-  // subnets in AS-member then interface order.
-  if (policy.hierarchical) {
-    FlattenHierarchicalExits(topology, policy, graph.asns, level);
-  } else {
-    for (const AsNumber from_as : ases) {
-      std::vector<BgpExit>& exits = level.exits[from_as];
-      const auto adjacency_it = level.adjacency.find(from_as);
-      for (const AsNumber to_as : ases) {
-        if (from_as == to_as) continue;
-        const AsNumber via = level.next_for.at(to_as).at(from_as);
-        if (via == 0) continue;  // unreachable
-        // via != 0 implies from_as has at least one eBGP adjacency.
-        exits.push_back(
-            {topology.as(to_as).block, &adjacency_it->second.at(via)});
-      }
-    }
-  }
-  for (const AsNumber from_as : ases) {
-    std::vector<BorderSubnet>& subnets = level.border_subnets[from_as];
-    for (const RouterId border : topology.as(from_as).routers) {
+  /// Injected subnets first: the historical install order, which the
+  /// same-prefix precedence of BgpTable::Finish reads.
+  void AddSubnets(const Topology& topology, AsNumber asn) {
+    for (const RouterId border : topology.as(asn).routers) {
+      std::uint32_t group = kNoGroup;
       for (const topo::InterfaceId iid :
            topology.router(border).interfaces) {
         const topo::Interface& iface = topology.interface(iid);
@@ -209,9 +148,137 @@ BgpLevel ComputeBgpLevel(const Topology& topology, const BgpPolicy& policy) {
             topology.IsInternalLink(iface.link)) {
           continue;
         }
-        subnets.push_back({iface.subnet, border});
+        if (group == kNoGroup) {
+          group = static_cast<std::uint32_t>(out_.groups.size());
+          out_.groups.push_back(EgressGroup{nullptr, border});
+        }
+        out_.table.Add(iface.subnet, group, /*exit=*/false);
       }
     }
+  }
+
+  std::size_t peer_count() const { return peers_.size(); }
+  AsNumber peer_asn(std::size_t p) const { return peers_[p].asn; }
+
+  /// An exit toward the peer at row position `p`.
+  void AddExit(const Prefix& prefix, std::size_t p) {
+    Peer& peer = peers_[p];
+    if (peer.group == kNoGroup) {
+      peer.group = static_cast<std::uint32_t>(out_.groups.size());
+      out_.groups.push_back(EgressGroup{peer.links, topo::kNoRouter});
+    }
+    out_.table.Add(prefix, peer.group, /*exit=*/true);
+  }
+  /// An exit toward peer AS `next_as`.
+  void AddExitToward(const Prefix& prefix, AsNumber next_as) {
+    const auto it = std::lower_bound(
+        peers_.begin(), peers_.end(), next_as,
+        [](const Peer& peer, AsNumber asn) { return peer.asn < asn; });
+    WORMHOLE_DCHECK(it != peers_.end() && it->asn == next_as,
+                    "BGP next AS is not a peer");
+    AddExit(prefix, static_cast<std::size_t>(it - peers_.begin()));
+  }
+
+  void Finish() {
+    out_.table.Finish(static_cast<std::uint32_t>(out_.groups.size()));
+  }
+
+ private:
+  static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+  struct Peer {
+    AsNumber asn;
+    const std::vector<BorderLink>* links;
+    std::uint32_t group;
+  };
+
+  AsBgp& out_;
+  std::vector<Peer> peers_;
+};
+
+}  // namespace
+
+const AsBgp& BgpLevel::Of(AsNumber asn) const {
+  const auto it = std::lower_bound(asns.begin(), asns.end(), asn);
+  WORMHOLE_ASSERT(it != asns.end() && *it == asn,
+                  "BGP state asked for an AS outside the topology");
+  return tables[static_cast<std::size_t>(it - asns.begin())];
+}
+
+BgpLevel ComputeBgpLevel(const Topology& topology, const BgpPolicy& policy) {
+  BgpLevel level;
+  level.adjacency = BuildAsAdjacency(topology);
+  level.asns = topology.AsNumbers();
+  std::sort(level.asns.begin(), level.asns.end());
+  // Hierarchical mode routes between core ASes only: stubs are leaves
+  // reached through their providers' direct customer routes.
+  std::vector<AsNumber> nodes;
+  for (const AsNumber asn : level.asns) {
+    if (!policy.hierarchical || !policy.stub_ases.contains(asn)) {
+      nodes.push_back(asn);
+    }
+  }
+  const AsGraph graph =
+      BuildAsGraph(std::move(nodes), level.adjacency, policy);
+  const std::size_t n = graph.asns.size();
+  // next_rows[to * n + from]: the BFS rows, kept dense for the tables.
+  std::vector<std::uint32_t> next_rows(n * n);
+  NextNodes bfs;
+  for (std::uint32_t to = 0; to < n; ++to) {
+    ComputeNextNodes(graph, to, bfs);
+    std::copy(bfs.next.begin(), bfs.next.end(), next_rows.begin() + to * n);
+    auto& row =
+        level.next_for.try_emplace(level.next_for.end(), graph.asns[to])
+            ->second;
+    for (std::uint32_t from = 0; from < n; ++from) {
+      row.emplace_hint(row.end(), graph.asns[from],
+                       graph.AsnOf(bfs.next[from]));
+    }
+  }
+  const std::vector<Prefix> aggregates =
+      policy.hierarchical ? Aggregates(topology, policy, graph)
+                          : std::vector<Prefix>();
+
+  // One table per AS. Destinations go in graph order (ascending ASN);
+  // the table sorts by prefix anyway.
+  level.tables.resize(level.asns.size());
+  for (std::size_t a = 0; a < level.asns.size(); ++a) {
+    const AsNumber from_as = level.asns[a];
+    const auto adjacency_it = level.adjacency.find(from_as);
+    AsTableBuilder builder(level.tables[a],
+                           adjacency_it == level.adjacency.end()
+                               ? nullptr
+                               : &adjacency_it->second);
+    builder.AddSubnets(topology, from_as);
+    const std::uint32_t from = graph.IndexOf(from_as);
+    if (policy.hierarchical && from == kNoNode) {
+      // A stub: default toward its primary (lowest-ASN core) provider;
+      // its other providers still reach it directly, so dual-homing stays
+      // useful for inbound traffic.
+      for (std::size_t p = 0; p < builder.peer_count(); ++p) {
+        if (policy.stub_ases.contains(builder.peer_asn(p))) continue;
+        builder.AddExit(Prefix(netbase::Ipv4Address(0), 0), p);
+        break;
+      }
+    } else if (builder.peer_count() > 0) {
+      for (std::uint32_t to = 0; to < n; ++to) {
+        const std::uint32_t via = next_rows[to * n + from];
+        if (to == from || via == kNoNode) continue;  // unreachable
+        builder.AddExitToward(policy.hierarchical
+                                  ? aggregates[to]
+                                  : topology.as(graph.asns[to]).block,
+                              graph.asns[via]);
+      }
+      // Hierarchical: direct customer routes, more specific than any
+      // aggregate, so the LPM prefers them.
+      for (std::size_t p = 0; policy.hierarchical && p < builder.peer_count();
+           ++p) {
+        const AsNumber peer = builder.peer_asn(p);
+        if (policy.stub_ases.contains(peer)) {
+          builder.AddExit(topology.as(peer).block, p);
+        }
+      }
+    }
+    builder.Finish();
   }
   return level;
 }
@@ -232,69 +299,47 @@ AsNumber BgpNextAs(const Topology& topology, const BgpPolicy& policy,
 void InstallBgpRoutesForRouter(const Topology& topology,
                                const BgpLevel& level, const SpfTree& tree,
                                RouterId rid, Fib& fib) {
-  const AsNumber from_as = topology.router(rid).asn;
-
-  // Border routers inject the subnets of their eBGP links into their own
-  // AS via iBGP with next-hop-self: other routers of the AS reach such a
-  // subnet through the border's loopback, i.e. over an LDP LSP when MPLS
-  // is on. (The IGP deliberately does not carry these prefixes.) The
-  // subnet list was flattened per AS in ComputeBgpLevel; AddRouteIfAbsent
-  // keeps the connected-route-wins rule in a single tree descent.
-  for (const BorderSubnet& bs : level.border_subnets.at(from_as)) {
-    if (bs.border == rid) continue;  // connected route already present
-    const int border_distance = tree.DistanceTo(bs.border);
-    if (border_distance == kUnreachable) continue;
-    FibEntry entry;
-    entry.prefix = bs.subnet;
-    entry.source = RouteSource::kBgp;
-    entry.metric = border_distance;
-    const auto span = tree.FirstHops(bs.border);
-    entry.next_hops.assign(span.data(), span.data() + span.size());
-    entry.bgp_next_hop = topology.router(bs.border).loopback;
-    fib.AddRouteIfAbsent(std::move(entry));
-  }
-
-  for (const BgpExit& exit : level.exits.at(from_as)) {
-    // Border routers of from_as peering with the chosen next AS.
-    const auto& border_links = *exit.borders;
-
-    FibEntry entry;
-    entry.prefix = exit.prefix;
-    entry.source = RouteSource::kBgp;
-
-    // Direct eBGP exit(s) from this router, if it is itself a border.
-    NextHopSet external;
-    for (const BorderLink& bl : border_links) {
-      if (bl.local == rid) external.push_back({bl.link, bl.remote});
-    }
-    if (!external.empty()) {
-      entry.metric = 0;
-      entry.next_hops = std::move(external);
+  const AsBgp& as_bgp = level.Of(topology.router(rid).asn);
+  fib.AttachBgp(as_bgp.table);
+  for (std::uint32_t g = 0; g < as_bgp.groups.size(); ++g) {
+    const EgressGroup& group = as_bgp.groups[g];
+    RouterId egress = topo::kNoRouter;
+    if (group.links == nullptr) {
+      // An injected subnet: reached through its border's loopback (over
+      // an LDP LSP when MPLS is on). The border itself has the connected
+      // route. (The IGP deliberately does not carry these prefixes.)
+      if (group.border != rid &&
+          tree.DistanceTo(group.border) != kUnreachable) {
+        egress = group.border;
+      }
     } else {
+      // Direct eBGP exit(s) from this router, if it is itself a border.
+      NextHopSet external;
+      for (const BorderLink& bl : *group.links) {
+        if (bl.local == rid) external.push_back({bl.link, bl.remote});
+      }
+      if (!external.empty()) {
+        fib.ResolveDirect(g, std::move(external));
+        continue;
+      }
       // Hot-potato: nearest border router by IGP metric; ties broken on
       // lower router id via the link-id scan order.
-      RouterId egress = topo::kNoRouter;
       int best = kUnreachable;
-      for (const BorderLink& bl : border_links) {
+      for (const BorderLink& bl : *group.links) {
         const int d = tree.DistanceTo(bl.local);
         if (d < best) {
           best = d;
           egress = bl.local;
         }
       }
-      if (egress == topo::kNoRouter) continue;  // partitioned AS
-      entry.metric = best;
-      const auto span = tree.FirstHops(egress);
-      entry.next_hops.assign(span.data(), span.data() + span.size());
-      entry.bgp_next_hop = topology.router(egress).loopback;
     }
-    fib.AddRoute(std::move(entry));
+    if (egress == topo::kNoRouter) continue;  // partitioned AS
+    fib.ResolveViaIgp(g, topology.router(egress).loopback);
   }
 }
 
-void InstallBgpRoutes(const Topology& topology, const BgpPolicy& policy,
+void InstallBgpRoutes(const Topology& topology, const BgpLevel& level,
                       std::vector<Fib>& fibs) {
-  const BgpLevel level = ComputeBgpLevel(topology, policy);
   SpfEngine engine(topology);
   for (const AsNumber from_as : topology.AsNumbers()) {
     for (const RouterId rid : topology.as(from_as).routers) {

@@ -8,6 +8,11 @@
 // through an LDP LSP. Hot-potato egress choice is the mechanism that makes
 // forward and return paths asymmetric, which FRPLA must tolerate (paper
 // Sec. 3.4).
+//
+// As on a real router, BGP routes are stored once and resolved through the
+// IGP: each AS has one BGP prefix table (BgpLevel::tables), and each router
+// stores only which border every egress group of its AS resolves to (see
+// routing/fib.h). No router holds a copy of a BGP route.
 #pragma once
 
 #include <map>
@@ -25,14 +30,14 @@ struct BgpPolicy {
   /// source or destination AS of a path but are not expanded through.
   std::set<topo::AsNumber> stub_ases;
 
-  /// Hierarchical (valley-free) scale mode. Off, every router carries one
-  /// route per reachable AS — O(#ASes) FIB entries per router, which is
+  /// Hierarchical (valley-free) scale mode. Off, every AS routes one
+  /// prefix per reachable AS — O(#ASes) BGP routes per AS, which is
   /// fine for testbed worlds and fatal at 100k routers. On, routing
   /// mirrors provider aggregation in the real Internet: a stub AS
   /// installs its intra-AS routes plus a single 0.0.0.0/0 default toward
   /// its lowest-ASN non-stub neighbour; a core (non-stub) AS installs one
   /// covering `aggregates` prefix per other reachable core AS plus a
-  /// direct route per adjacent stub. Per-router FIB size drops from
+  /// direct route per adjacent stub. Per-AS BGP table size drops from
   /// O(#ASes) to O(#core ASes + adjacent stubs). The AS-level BFS runs on
   /// the core graph alone — stubs are neither nodes nor peers in it — so
   /// BgpLevel::next_for holds one row per core AS, covering core ASes
@@ -53,40 +58,61 @@ struct BorderLink {
   topo::LinkId link = topo::kNoLink;
 };
 
-/// One pre-resolved inter-AS destination for the routers of a source AS:
-/// the destination's address block and the source's border links toward
-/// the chosen next AS.
-struct BgpExit {
-  Prefix prefix;
-  const std::vector<BorderLink>* borders = nullptr;
-};
-
-/// One eBGP-link subnet a border router injects into its AS via iBGP.
-struct BorderSubnet {
-  Prefix subnet;
+/// One egress group of an AS: where a set of its BGP prefixes leaves it.
+/// Either an exit group — the AS's border links toward one next AS, in
+/// link-id order (which fixes every hot-potato tie-break) — or a subnet
+/// group: the one border router that injects eBGP-link subnets.
+struct EgressGroup {
+  /// The exit group's border links; null for a subnet group. Points into
+  /// BgpLevel::adjacency.
+  const std::vector<BorderLink>* links = nullptr;
+  /// The subnet group's border router.
   RouterId border = topo::kNoRouter;
 };
 
+/// One AS's BGP state: its prefix table, which every router of the AS
+/// resolves through, and the egress groups the table's entries name.
+struct AsBgp {
+  BgpTable table;
+  std::vector<EgressGroup> groups;
+};
+
 /// The AS-level view of a converged BGP: the eBGP adjacency (per AS,
-/// grouped by peer, in link-id order — which fixes all hot-potato
-/// tie-breaks) and, for every destination AS, each source AS's chosen
-/// next AS (0 when unreachable; the destination maps to itself; core ASes
-/// only in hierarchical mode). Shorter AS paths win, and equal lengths go
-/// to the lower next ASN.
+/// grouped by peer, in link-id order) and, for every destination AS, each
+/// source AS's chosen next AS (0 when unreachable; the destination maps to
+/// itself; core ASes only in hierarchical mode). Shorter AS paths win, and
+/// equal lengths go to the lower next ASN.
 ///
-/// `exits` and `border_subnets` are the same data flattened into each
-/// source AS's install order, resolved once in ComputeBgpLevel so the
-/// per-router install loop does no map descents. `exits` points into
-/// `adjacency`: moving a BgpLevel is fine (map nodes survive), copying
-/// one is not.
+/// `tables` holds one AsBgp per AS, in ascending ASN order (`asns`).
+/// Its table maps each prefix the AS routes externally to a group:
+///  * every eBGP-link subnet a border router of the AS injects via iBGP
+///    (next-hop-self) — one subnet group per injecting border;
+///  * every destination's block (flat mode), or each other core AS's
+///    aggregate plus each stub customer's block (a core AS in
+///    hierarchical mode), or one default route (a stub AS in hierarchical
+///    mode) — one exit group per next AS used.
+/// Groups are numbered in first-use order, subnet groups first. Routers
+/// hold no copy of these routes: routing::Fib resolves them per group.
+/// Groups point into `adjacency` and FIBs point into `tables`: moving a
+/// BgpLevel is fine (map nodes and vector buffers survive), copying one
+/// is not.
 struct BgpLevel {
+  BgpLevel() = default;
+  BgpLevel(BgpLevel&&) = default;
+  BgpLevel& operator=(BgpLevel&&) = default;
+  BgpLevel(const BgpLevel&) = delete;
+  BgpLevel& operator=(const BgpLevel&) = delete;
+
+  /// `asn`'s BGP state; `asn` must be an AS of the topology.
+  [[nodiscard]] const AsBgp& Of(topo::AsNumber asn) const;
+
   std::map<topo::AsNumber,
            std::map<topo::AsNumber, std::vector<BorderLink>>>
       adjacency;
   std::map<topo::AsNumber, std::map<topo::AsNumber, topo::AsNumber>>
       next_for;
-  std::map<topo::AsNumber, std::vector<BgpExit>> exits;
-  std::map<topo::AsNumber, std::vector<BorderSubnet>> border_subnets;
+  std::vector<topo::AsNumber> asns;
+  std::vector<AsBgp> tables;
 };
 
 /// Computes the AS-level state once. Depends only on the topology's
@@ -95,18 +121,22 @@ struct BgpLevel {
 BgpLevel ComputeBgpLevel(const topo::Topology& topology,
                          const BgpPolicy& policy);
 
-/// Installs BGP routes for one router from its SPF tree and the AS-level
-/// state. Requires `fib` to already hold the router's connected + IGP
-/// routes. Writes only `fib` — safe to fan out across routers.
+/// Attaches one router's FIB to its AS's BGP table and resolves each of
+/// the AS's egress groups for it: a border router with eBGP links in an
+/// exit group leaves over them directly; otherwise the group goes to the
+/// nearest border by IGP metric (hot-potato; ties to the first in link-id
+/// order), through the router's IGP route to that border's loopback.
+/// Requires `fib` to already hold the router's connected + IGP routes,
+/// and `level` to outlive it. Writes only `fib` — safe to fan out across
+/// routers.
 void InstallBgpRoutesForRouter(const topo::Topology& topology,
                                const BgpLevel& level, const SpfTree& tree,
                                RouterId rid, Fib& fib);
 
-/// Computes AS-level best paths for every destination AS and installs BGP
-/// routes into every router's FIB. IGP routes must already be installed
-/// (hot-potato needs intra-AS distances). Serial convenience wrapper that
-/// builds a private SpfEngine.
-void InstallBgpRoutes(const topo::Topology& topology, const BgpPolicy& policy,
+/// InstallBgpRoutesForRouter for every router. IGP routes must already be
+/// installed (hot-potato needs intra-AS distances). Serial convenience
+/// wrapper that builds a private SpfEngine.
+void InstallBgpRoutes(const topo::Topology& topology, const BgpLevel& level,
                       std::vector<Fib>& fibs);
 
 /// The chosen next AS from `from_as` towards `to_as`; 0 if unreachable or

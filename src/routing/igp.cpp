@@ -30,7 +30,7 @@ IgpPlan BuildIgpPlan(const topo::Topology& topology, topo::AsNumber asn) {
   // Owners of every internal prefix, so each router can route a prefix via
   // its nearest owner. Subnets of inter-AS (eBGP) links are *not* carried
   // by the IGP — the border router injects them via iBGP with
-  // next-hop-self (see InstallBgpRoutes), which is what lets transit
+  // next-hop-self (see routing/bgp.h), which is what lets transit
   // traffic towards them ride the LDP LSP to the border.
   std::vector<std::pair<netbase::Prefix, RouterId>> prefix_owners;
   for (const RouterId rid : topology.as(asn).routers) {

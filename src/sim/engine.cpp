@@ -560,8 +560,8 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
     }
   }
 
-  const FibEntry* entry = rc.fib->Lookup(p.dst);
-  if (entry == nullptr) {
+  const routing::Route route = rc.fib->Resolve(p.dst);
+  if (!route) {
     if (p.kind != PacketKind::kEchoRequest) {
       return StepResult{.loss = LossReason::kNoRoute};
     }
@@ -569,12 +569,12 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
                           /*quote_labels=*/false, stats);
   }
 
-  if (entry->next_hops.empty()) {
+  if (route.next_hops->empty()) {
     // Connected subnet: the destination is the far end of one of our links
     // (or an unassigned address => unreachable).
     for (const topo::InterfaceId iid : router.interfaces) {
       const topo::Interface& iface = topology_->interface(iid);
-      if (iface.link == topo::kNoLink || iface.subnet != entry->prefix ||
+      if (iface.link == topo::kNoLink || iface.subnet != route.prefix ||
           !topology_->link(iface.link).up) {
         continue;
       }
@@ -591,8 +591,8 @@ Engine::StepResult Engine::ProcessIp(Transit& t, EngineStats& stats) const {
                           /*quote_labels=*/false, stats);
   }
 
-  const NextHop& hop = PickNextHop(entry->next_hops, p);
-  MaybeImpose(rc, *entry, hop, p, stats);
+  const NextHop& hop = PickNextHop(*route.next_hops, p);
+  MaybeImpose(rc, route, hop, p, stats);
   Forward(t, hop);
   return {};
 }
@@ -711,7 +711,7 @@ const routing::NextHop& Engine::PickNextHop(
 }
 
 void Engine::MaybeImpose(const RouterCache& rc,
-                         const routing::FibEntry& entry,
+                         const routing::Route& route,
                          const routing::NextHop& hop,
                          netbase::Packet& packet,
                          EngineStats& stats) const {
@@ -721,15 +721,15 @@ void Engine::MaybeImpose(const RouterCache& rc,
   if (domain == nullptr) return;
 
   netbase::Prefix fec;
-  switch (entry.source) {
+  switch (route.source) {
     case routing::RouteSource::kBgp:
       // External traffic is switched via the LSP towards the BGP next hop
       // (the egress LER's loopback, next-hop-self).
-      if (entry.bgp_next_hop.is_unspecified()) return;  // eBGP exit
-      fec = netbase::Prefix::Host(entry.bgp_next_hop);
+      if (route.bgp_next_hop.is_unspecified()) return;  // eBGP exit
+      fec = netbase::Prefix::Host(route.bgp_next_hop);
       break;
     case routing::RouteSource::kIgp:
-      fec = entry.prefix;
+      fec = route.prefix;
       break;
     case routing::RouteSource::kConnected:
       return;
@@ -1096,24 +1096,24 @@ bool Engine::TryStepRunShared(BatchResult& b, std::size_t begin,
         te_->SteeringFor(r, leader.dst) != nullptr) {
       return false;
     }
-    const FibEntry* entry = rc.fib->Lookup(leader.dst);
-    if (entry == nullptr || entry->next_hops.empty()) return false;
-    hop = PickNextHop(entry->next_hops, leader);
+    const routing::Route route = rc.fib->Resolve(leader.dst);
+    if (!route || route.next_hops->empty()) return false;
+    hop = PickNextHop(*route.next_hops, leader);
     // MaybeImpose's binding-resolution half, hoisted out of the member
     // loop; only the TTL-propagation arithmetic is member-local.
     if (config.enabled && rc.domain != nullptr) {
       netbase::Prefix fec;
       bool has_fec = true;
-      switch (entry->source) {
+      switch (route.source) {
         case routing::RouteSource::kBgp:
-          if (entry->bgp_next_hop.is_unspecified()) {
+          if (route.bgp_next_hop.is_unspecified()) {
             has_fec = false;  // eBGP exit
           } else {
-            fec = netbase::Prefix::Host(entry->bgp_next_hop);
+            fec = netbase::Prefix::Host(route.bgp_next_hop);
           }
           break;
         case routing::RouteSource::kIgp:
-          fec = entry->prefix;
+          fec = route.prefix;
           break;
         case routing::RouteSource::kConnected:
           has_fec = false;

@@ -366,7 +366,7 @@ class Engine {
       const netbase::Packet& packet) const;
 
   /// Pushes a label if the route and LDP tables call for it.
-  void MaybeImpose(const RouterCache& rc, const routing::FibEntry& entry,
+  void MaybeImpose(const RouterCache& rc, const routing::Route& route,
                    const routing::NextHop& hop, netbase::Packet& packet,
                    EngineStats& stats) const;
 

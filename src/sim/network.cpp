@@ -93,7 +93,7 @@ routing::ConvergenceDelta Network::OnLinkStateChange(topo::LinkId link) {
   if (as_a == as_b) {
     ReconvergeAs(as_a, delta);
   } else {
-    ReconvergeInterAs(delta);
+    ReconvergeInterAs(link, delta);
   }
   // Stamp AFTER the rebuild: this is the epoch the new state lives under.
   delta.epoch = engine_->convergence_epoch();
@@ -158,35 +158,45 @@ void Network::ReconvergeAs(topo::AsNumber asn,
   engine_->RefreshRouters(members);
 }
 
-void Network::ReconvergeInterAs(routing::ConvergenceDelta& delta) {
+void Network::ReconvergeInterAs(topo::LinkId link,
+                                routing::ConvergenceDelta& delta) {
   delta.scope = routing::ConvergenceDelta::Scope::kGlobal;
   // No intra-AS shortest path moved: adopt the new topology version with
   // every cached SPF tree intact.
   spf_.ApplyTopologyChange({});
 
   // What did move: the AS graph (best AS paths, border-link sets) and the
-  // two endpoint borders' connected/injected eBGP subnets. Both are woven
-  // through every FIB, so rebuild all routes — from cached trees, which
-  // is the expensive part saved.
+  // two endpoint borders' eBGP subnets. The first lives in the per-AS BGP
+  // tables, rebuilt here; every router then re-resolves its egress groups
+  // against them, from cached trees. The second is also in the two
+  // endpoints' connected routes: only their stored tables are rebuilt.
   bgp_level_ = routing::ComputeBgpLevel(*topology_, bgp_policy_);
 
-  const std::size_t n = topology_->router_count();
-  std::vector<topo::RouterId> all(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    all[r] = static_cast<topo::RouterId>(r);
+  const topo::Link& flipped = topology_->link(link);
+  const std::vector<topo::RouterId> endpoints = {
+      topology_->interface(flipped.a).router,
+      topology_->interface(flipped.b).router};
+  std::vector<routing::IgpPlan> plans;
+  for (const topo::RouterId rid : endpoints) {
+    fibs_[rid] = routing::Fib{};
+    plans.push_back(
+        routing::BuildIgpPlan(*topology_, topology_->router(rid).asn));
   }
-  for (routing::Fib& fib : fibs_) fib = routing::Fib{};
+  InstallRoutes(endpoints, plans);
 
-  const std::vector<topo::AsNumber> as_numbers = topology_->AsNumbers();
-  std::vector<routing::IgpPlan> plans(as_numbers.size());
-  exec::ParallelFor(pool_.get(), as_numbers.size(), [&](std::size_t i) {
-    plans[i] = routing::BuildIgpPlan(*topology_, as_numbers[i]);
+  const std::size_t n = topology_->router_count();
+  exec::ParallelFor(pool_.get(), n, [&](std::size_t r) {
+    const auto rid = static_cast<topo::RouterId>(r);
+    if (rid == endpoints[0] || rid == endpoints[1]) return;
+    routing::InstallBgpRoutesForRouter(*topology_, bgp_level_,
+                                       spf_.CachedTree(rid), rid, fibs_[rid]);
   });
-  InstallRoutes(all, plans);
 
   // LDP is untouched: FECs are internal prefixes only, and the routes to
-  // them did not move — an identical rebuild would be wasted work.
-  engine_->RefreshRouters(all);
+  // them did not move — an identical rebuild would be wasted work. Of the
+  // engine's per-router caches (stored routes and LDP only) just the
+  // endpoints' can have changed.
+  engine_->RefreshRouters(endpoints);
 }
 
 }  // namespace wormhole::sim

@@ -50,13 +50,15 @@ class Network {
   /// only the state the flip can affect and re-seals only the touched
   /// FIBs. The result is byte-identical to a full rebuild.
   ///
-  ///  * Intra-AS link: that AS's SPF trees, IGP/BGP routes and LDP domain
-  ///    are rebuilt; everything else (including the AS-level BGP state,
-  ///    which only sees inter-AS links) is reused.
+  ///  * Intra-AS link: that AS's SPF trees, its routers' stored routes and
+  ///    BGP egress choices, and its LDP domain are rebuilt; everything
+  ///    else (including the per-AS BGP tables, which only see inter-AS
+  ///    links) is reused.
   ///  * Inter-AS link: no SPF tree changes, but the AS graph and the two
-  ///    endpoint border routers' connected/injected subnets do — so BGP
-  ///    (and the IGP-installed connected routes) are rebuilt everywhere
-  ///    from the cached trees; LDP domains (internal FECs only) are kept.
+  ///    endpoint border routers' connected/injected subnets do — so the
+  ///    per-AS BGP tables are rebuilt, every router re-resolves its egress
+  ///    choices from the cached trees, and only the two endpoints' stored
+  ///    routes are rebuilt; LDP domains (internal FECs only) are kept.
   ///
   /// Call it once per SetLinkUp, before any further topology mutation,
   /// and never concurrently with Send/SendBatch: reconvergence is the
@@ -101,11 +103,13 @@ class Network {
   /// what was dropped (scope kIntraAs).
   void ReconvergeAs(topo::AsNumber asn, routing::ConvergenceDelta& delta)
       REQUIRES(convergence_role_);
-  /// Rebuilds the BGP layer everywhere after an inter-AS link flip
-  /// (delta scope kGlobal).
-  void ReconvergeInterAs(routing::ConvergenceDelta& delta)
+  /// Rebuilds the per-AS BGP tables and every router's egress choices
+  /// after a flip of inter-AS link `link`, plus the two endpoints' stored
+  /// routes (delta scope kGlobal).
+  void ReconvergeInterAs(topo::LinkId link, routing::ConvergenceDelta& delta)
       REQUIRES(convergence_role_);
-  /// Installs connected+IGP then BGP routes and seals, for each listed
+  /// Installs connected+IGP routes, resolves the AS's BGP egress groups
+  /// and seals, for each listed
   /// router, in parallel; `plans` must cover every listed router's AS.
   /// The fan-out tasks write disjoint FIB slots and read shared inputs
   /// published by the phase hand-off (see docs/static-analysis.md).

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "gen/gns3.h"
 #include "io/tracefile.h"
@@ -82,6 +84,73 @@ TEST(Tracefile, RejectsMalformedInput) {
   reject("T 5.0.0.1 5.0.0.2 0 1 0\nH 1 5.0.0.3 z 255 0.1\n.\n");  // bad kind
   reject("Z nonsense\n");                          // unknown tag
   reject("T 5.0.0.1 5.0.0.2 0 1 0\nH 1 5.0.0.3 x 255 0.1 Lbroken\n.\n");
+}
+
+/// The message ReadTraces throws for `text`; fails the test if it throws
+/// anything else, or nothing.
+std::string ReadError(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    ReadTraces(ss);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  } catch (...) {
+    ADD_FAILURE() << "non-runtime_error escaped for: " << text;
+    return "";
+  }
+  ADD_FAILURE() << "accepted: " << text;
+  return "";
+}
+
+constexpr const char* kTraceHead = "T 5.0.0.1 5.0.0.2 0 1 0\n";
+
+TEST(Tracefile, NonNumericLabelIsARuntimeError) {
+  // std::stoul used to throw std::invalid_argument here.
+  EXPECT_NE(ReadError(std::string(kTraceHead) +
+                      "H 1 5.0.0.3 x 255 0.1 Labc:1\n.\n")
+                .find("bad label"),
+            std::string::npos);
+}
+
+TEST(Tracefile, RejectsLabelThatOverflows32Bits) {
+  // Used to wrap to label 1215752191.
+  EXPECT_NE(ReadError(std::string(kTraceHead) +
+                      "H 1 5.0.0.3 x 255 0.1 L99999999999:1\n.\n")
+                .find("bad label"),
+            std::string::npos);
+}
+
+TEST(Tracefile, RejectsLabelAbove20Bits) {
+  EXPECT_NE(ReadError(std::string(kTraceHead) +
+                      "H 1 5.0.0.3 x 255 0.1 L2000000:1\n.\n")
+                .find("bad label"),
+            std::string::npos);
+  // 2^20 - 1 is the largest label and still reads.
+  std::stringstream ss(std::string(kTraceHead) +
+                       "H 1 5.0.0.3 x 255 0.1 L1048575:1\n.\n");
+  const auto traces = ReadTraces(ss);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].hops[0].labels[0].label, 1048575u);
+}
+
+TEST(Tracefile, RejectsLabelTtlAbove255) {
+  // Used to read as TTL 44 (300 mod 256).
+  EXPECT_NE(ReadError(std::string(kTraceHead) +
+                      "H 1 5.0.0.3 x 255 0.1 L16:300\n.\n")
+                .find("bad label TTL"),
+            std::string::npos);
+}
+
+TEST(Tracefile, EveryErrorNamesItsLine) {
+  EXPECT_EQ(ReadError("# comment\n\nT 5.0.0.1 5.0.0.2 0 1 0\n"
+                      "H 1 5.0.0.3 x 999 0.1\n.\n"),
+            "tracefile line 4: bad reply TTL: 999");
+  EXPECT_EQ(ReadError("T 5.0.0.1 5.0.0.2 0 1 0\n"),
+            "tracefile line 1: unterminated trace record");
+  EXPECT_EQ(ReadError("T 5.0.0.1 5.0.0.2 70000 1 0\n.\n"),
+            "tracefile line 1: bad flow id: 70000");
+  EXPECT_EQ(ReadError("T 5.0.0.1 5.0.0.2 0 1 0\nH 1 * extra\n.\n"),
+            "tracefile line 2: fields after a timeout hop");
 }
 
 TEST(Tracefile, IgnoresCommentsAndBlankLines) {

@@ -11,8 +11,8 @@ receiver resolution — and checks *flow* properties that a grep cannot:
   sem-hot-alloc       No allocation (new / malloc / make_unique /
                       make_shared / an owning-container local) in any
                       function reachable from a hot entry point
-                      (Engine::Send, Engine::SendBatch, Fib::Lookup by
-                      default). The per-packet steady state is
+                      (Engine::Send, Engine::SendBatch, Fib::Lookup,
+                      Fib::Resolve by default). The per-packet steady state is
                       allocation-free by contract; a helper three calls
                       deep still breaks it. Container *growth* on
                       pre-sized members is deliberately not flagged here
@@ -88,9 +88,10 @@ DEFAULT_CONFIG = {
         "sim::Engine::Send",
         "sim::Engine::SendBatch",
         "routing::Fib::Lookup",
+        "routing::Fib::Resolve",
     ],
     # Functions allowed to allocate although hot-reachable. Fib::Seal is
-    # the documented lazy cold path: the first Lookup pays one build.
+    # the documented lazy cold path: the first lookup pays one build.
     "hot_alloc_exempt": [
         "routing::Fib::Seal",
     ],

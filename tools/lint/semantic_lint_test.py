@@ -223,19 +223,20 @@ class RealTreeTest(unittest.TestCase):
         self.assertIn("wormhole::sim::Engine::CommitStats", calls)
 
     def test_member_chain_receiver_edges(self):
-        # `rc.fib->Lookup(...)` on the hot path, resolved through the
+        # `rc.fib->Resolve(...)` on the hot path, resolved through the
         # field type of the router cache.
         self.assertIn(
-            "wormhole::routing::Fib::Lookup",
+            "wormhole::routing::Fib::Resolve",
             self.model.calls.get("wormhole::sim::Engine::ProcessIp", set()),
         )
 
     def test_fib_seal_is_hot_reachable_but_exempt(self):
-        lookup = "wormhole::routing::Fib::Lookup"
-        self.assertIn(
-            "wormhole::routing::Fib::Seal",
-            self.model.calls.get(lookup, set()),
-        )
+        for lookup in ("wormhole::routing::Fib::Lookup",
+                       "wormhole::routing::Fib::Resolve"):
+            self.assertIn(
+                "wormhole::routing::Fib::Seal",
+                self.model.calls.get(lookup, set()),
+            )
         config = semantic_lint.DEFAULT_CONFIG
         self.assertTrue(
             semantic_lint.matches_any(
@@ -246,7 +247,7 @@ class RealTreeTest(unittest.TestCase):
 
     def test_fib_mutable_query_side_is_modeled(self):
         fib = self.model.classes["wormhole::routing::Fib"]
-        self.assertTrue(fib.fields["slots_"].is_mutable)
+        self.assertTrue(fib.fields["index_"].is_mutable)
         self.assertTrue(fib.fields["sealed_"].atomic)
 
     def test_stat_shard_is_an_atomic_aggregate(self):

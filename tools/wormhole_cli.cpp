@@ -8,10 +8,14 @@
 //
 // --jobs N spreads campaign probing over N worker threads (default: the
 // hardware concurrency); the results are identical for every N.
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/campaign_report.h"
@@ -41,26 +45,53 @@ int Usage() {
       "  wormhole crossval [seed]\n"
       "  wormhole replay <tracefile>\n"
       "\n"
-      "  --jobs N   worker threads for campaign probing\n"
-      "             (0 or omitted: hardware concurrency)\n";
+      "  --jobs N   worker threads for campaign probing, at most 1024\n"
+      "             (0 or omitted: hardware concurrency)\n"
+      "  seed       a decimal number below 2^64 (default 29)\n";
   return 2;
 }
 
-/// Strips `--jobs N` / `--jobs=N` from `args` and returns N (0 = default).
-std::size_t ExtractJobs(std::vector<std::string>& args) {
-  std::size_t jobs = 0;
+/// The most worker threads --jobs may ask for.
+constexpr std::uint64_t kMaxJobs = 1024;
+
+/// A decimal number filling all of `text` within [0, max], or nullopt
+/// (signs, blanks, trailing characters and overflow all fail).
+std::optional<std::uint64_t> ParseNumber(const std::string& text,
+                                         std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Strips `--jobs N` / `--jobs=N` from `args` and returns N (0 = default);
+/// nullopt when N is missing or not a number in [0, kMaxJobs].
+std::optional<std::size_t> ExtractJobs(std::vector<std::string>& args) {
+  std::optional<std::uint64_t> jobs = 0;
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--jobs" && i + 1 < args.size()) {
-      jobs = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i].rfind("--jobs=", 0) == 0) {
-      jobs = std::strtoull(args[i].c_str() + 7, nullptr, 10);
+    if (args[i] == "--jobs") {
+      jobs = i + 1 < args.size() ? ParseNumber(args[++i], kMaxJobs)
+                                 : std::nullopt;
+    } else if (args[i].starts_with("--jobs=")) {
+      jobs = ParseNumber(args[i].substr(7), kMaxJobs);
     } else {
       rest.push_back(args[i]);
     }
+    if (!jobs) return std::nullopt;
   }
   args = std::move(rest);
-  return jobs;
+  return static_cast<std::size_t>(*jobs);
+}
+
+/// The seed argument at `args[0]` (29 when absent); nullopt when present
+/// but not a 64-bit decimal number.
+std::optional<std::uint64_t> SeedArg(const std::vector<std::string>& args) {
+  if (args.empty()) return 29;
+  return ParseNumber(args[0], std::numeric_limits<std::uint64_t>::max());
 }
 
 std::optional<gen::Gns3Scenario> ParseScenario(const std::string& name) {
@@ -221,25 +252,20 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
-  const std::size_t jobs = ExtractJobs(args);
+  // Every number is validated here, before any pool or world is built.
+  const std::optional<std::size_t> jobs = ExtractJobs(args);
+  if (!jobs) return Usage();
   if (command == "emulate" && !args.empty()) return Emulate(args[0]);
   if (command == "configs" && !args.empty()) return Configs(args[0]);
-  if (command == "campaign") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunCampaign(seed, args.size() >= 2 ? args[1] : "", jobs);
+  const std::optional<std::uint64_t> seed = SeedArg(args);
+  if (command == "campaign" && seed) {
+    return RunCampaign(*seed, args.size() >= 2 ? args[1] : "", *jobs);
   }
-  if (command == "report") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunReport(seed, args.size() >= 2 ? args[1] : "wormhole-report",
-                     jobs);
+  if (command == "report" && seed) {
+    return RunReport(*seed, args.size() >= 2 ? args[1] : "wormhole-report",
+                     *jobs);
   }
-  if (command == "crossval") {
-    const std::uint64_t seed =
-        !args.empty() ? std::strtoull(args[0].c_str(), nullptr, 10) : 29;
-    return RunCrossval(seed);
-  }
+  if (command == "crossval" && seed) return RunCrossval(*seed);
   if (command == "replay" && !args.empty()) return Replay(args[0]);
   return Usage();
 }
